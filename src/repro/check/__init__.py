@@ -3,14 +3,13 @@
 Two prongs keep both simulators bit-deterministic and leak-free:
 
 * :mod:`repro.check.lint` — an AST-based static linter with project
-  rules R001-R010 (seeded randomness, wall-clock leaks, unordered
-  iteration near event scheduling, float timestamp equality,
-  acquire/release pairing, per-module lock order, effectful duration
-  callables, mutable defaults, ambient contexts outside ``with``, and
-  unsorted report serialization).  ``python -m repro check src`` gates
-  CI, and :mod:`repro.check.flow` layers the interprocedural analyses
-  (static deadlock detection F001, fusion-safety proofs F002) on top
-  via ``repro check --flow``.
+  rules R001-R006 and R008-R011 (seeded randomness, wall-clock leaks,
+  unordered iteration near event scheduling, float timestamp equality,
+  acquire/release pairing, per-module lock order, mutable defaults,
+  ambient contexts outside ``with``, unsorted report serialization, and
+  unlogged page mutations).  ``python -m repro check src`` gates CI, and
+  :mod:`repro.check.flow` layers the interprocedural lock-order analysis
+  (static deadlock detection F001) on top via ``repro check --flow``.
 * :mod:`repro.check.sanitizer` — a runtime sanitizer the simulators can
   run under (``repro run <experiment> --sanitize``) that detects delay
   corruption, same-timestamp order hazards, resource-lease leaks, cache

@@ -29,22 +29,19 @@ Commands:
                                 buckets (repro-explain/v1); optional
                                 repro-tsdb/v1 time-series and Chrome-trace
                                 flow-graph outputs
-* ``check [paths...]``        — determinism lint (R001-R010); ``--flow``
-                                adds the interprocedural analyses (static
-                                deadlock detection F001, fusion-safety
-                                proofs F002); ``--format`` selects
+* ``check [paths...]``        — determinism lint (R001-R006, R008-R011);
+                                ``--flow`` adds the interprocedural
+                                lock-order analysis (static deadlock
+                                detection F001); ``--format`` selects
                                 text/json/sarif/github output;
                                 ``--self-test`` proves each rule and
                                 analysis still fires;
-                                ``--scheduler-identity``/``--fusion-identity``/
-                                ``--tracing-identity`` prove the perf and
-                                observability axes change no output bytes
+                                ``--tracing-identity`` proves span
+                                tracing changes no output bytes
 
 ``run``/``trace``/``metrics`` accept ``--sanitize`` to enable the runtime
 simulation sanitizer (event-order, delay, lease, cache, and ring
-invariants; violations raise ``SanitizerError``), ``--scheduler calendar``
-to switch the future-event list, and ``--fuse`` to fuse operator charge
-chains — the latter two are perf-only and byte-identical by contract.
+invariants; violations raise ``SanitizerError``).
 
 Sweep experiments accept ``--workers N`` to fan independent sweep points
 out over N worker processes; results are byte-identical to serial.
@@ -70,6 +67,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import Callable, Dict, List, Optional
 
@@ -121,6 +119,44 @@ def _int_list(text: str) -> List[int]:
     return [int(part) for part in text.split(",") if part]
 
 
+# Argument types for values that would otherwise fail deep inside a run.
+# A bad value is a usage error: argparse exits 2 with a one-line message,
+# keeping exit 1 for oracle and gate failures.
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
+def _existing_file(text: str) -> str:
+    if not os.path.isfile(text):
+        raise argparse.ArgumentTypeError(f"no such file: {text}")
+    return text
+
+
+def _bench_names(text: str) -> Optional[List[str]]:
+    from repro.sweep.bench import known_names
+
+    names = [part for part in text.split(",") if part]
+    known = known_names()
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown bench name(s) {', '.join(unknown)} (choose from {', '.join(known)})"
+        )
+    return names or None
+
+
 def _cmd_list(_args) -> int:
     width = max(len(name) for name in _EXPERIMENTS)
     print("experiments (python -m repro run <name>):\n")
@@ -155,22 +191,13 @@ def _run_experiment(args):
         return None, 2
     module, _summary = _EXPERIMENTS[args.experiment]
     try:
-        # Scheduler and fusion selections export through the environment,
-        # so sweep worker processes inherit them; the sanitizer is
-        # process-local and forces workers=1 in _experiment_kwargs.
+        # The sanitizer is process-local and forces workers=1 in
+        # _experiment_kwargs.
         with contextlib.ExitStack() as stack:
             if getattr(args, "sanitize", False):
                 from repro.check import sanitizing
 
                 stack.enter_context(sanitizing())
-            if getattr(args, "scheduler", None):
-                from repro.sim.engine import scheduling
-
-                stack.enter_context(scheduling(args.scheduler))
-            if getattr(args, "fuse", False):
-                from repro.sim.fusion import fusing
-
-                stack.enter_context(fusing(True))
             return module.run(**_experiment_kwargs(args)), 0
     except TypeError as exc:
         print(f"experiment {args.experiment!r} rejected options: {exc}")
@@ -255,9 +282,8 @@ def _cmd_workload(args) -> int:
 def _cmd_bench(args) -> int:
     from repro.sweep import bench
 
-    only = [part for part in (args.only or "").split(",") if part] or None
     report = bench.run_bench(
-        quick=args.quick, scale=args.scale, workers=args.workers, only=only
+        quick=args.quick, scale=args.scale, workers=args.workers, only=args.only
     )
     totals = report["totals"]
     for entry in report["experiments"]:
@@ -302,28 +328,19 @@ def _cmd_check(args) -> int:
             "self-test OK: every rule and flow analysis fires and suppresses"
         )
         return 0
-    if args.scheduler_identity or args.fusion_identity or args.tracing_identity:
+    if args.tracing_identity:
         from repro.check.identity import identity_mismatches
 
         experiments = [
             part for part in (args.experiments or "").split(",") if part
         ] or None
-        failed = False
-        for axis, wanted in (
-            ("scheduler", args.scheduler_identity),
-            ("fusion", args.fusion_identity),
-            ("tracing", args.tracing_identity),
-        ):
-            if not wanted:
-                continue
-            mismatches = identity_mismatches(axis, experiments)
-            if mismatches:
-                failed = True
-                for mismatch in mismatches:
-                    print(mismatch)
-            else:
-                print(f"{axis} identity OK: byte-identical renders")
-        return 1 if failed else 0
+        mismatches = identity_mismatches(experiments)
+        for mismatch in mismatches:
+            print(mismatch)
+        if mismatches:
+            return 1
+        print("tracing identity OK: byte-identical renders")
+        return 0
     findings = lint_paths(args.paths)
     if args.flow:
         from repro.check.flow import analyze_paths
@@ -597,20 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="run with the simulation sanitizer enabled (invariant "
             "violations raise SanitizerError); forces serial execution",
         )
-        parser_.add_argument(
-            "--scheduler",
-            choices=["heap", "calendar"],
-            default=None,
-            help="future-event-list implementation (byte-identical output; "
-            "see 'repro check --scheduler-identity')",
-        )
-        parser_.add_argument(
-            "--fuse",
-            action="store_true",
-            help="fuse deterministic operator charge chains into single "
-            "events (byte-identical output; see "
-            "'repro check --fusion-identity')",
-        )
 
     run = sub.add_parser("run", help="run one experiment")
     add_experiment_options(run)
@@ -668,6 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--only",
+        type=_bench_names,
         default=None,
         help="comma-separated experiment subset (e.g. figure_3_1,sim_core)",
     )
@@ -690,8 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--flow",
         action="store_true",
-        help="also run the interprocedural flow analyses (lock-order "
-        "deadlock detection F001, fusion-safety proofs F002)",
+        help="also run the interprocedural lock-order analysis "
+        "(static deadlock detection F001)",
     )
     check.add_argument(
         "--format",
@@ -713,20 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
         "violation (CI gate)",
     )
     check.add_argument(
-        "--scheduler-identity",
-        action="store_true",
-        dest="scheduler_identity",
-        help="verify the calendar-queue scheduler renders every "
-        "experiment byte-identically to the heap (CI gate)",
-    )
-    check.add_argument(
-        "--fusion-identity",
-        action="store_true",
-        dest="fusion_identity",
-        help="verify operator-loop fusion renders every experiment "
-        "byte-identically to unfused chains (CI gate)",
-    )
-    check.add_argument(
         "--tracing-identity",
         action="store_true",
         dest="tracing_identity",
@@ -736,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--experiments",
         default=None,
-        help="comma-separated experiment subset for the identity gates",
+        help="comma-separated experiment subset for the identity gate",
     )
 
     faults = sub.add_parser(
@@ -782,7 +772,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="first IP kill time in ms (staggered +50 ms each)",
     )
     faults.add_argument(
-        "--plan", default=None, help="JSON fault-plan file (overrides the rate flags)"
+        "--plan",
+        type=_existing_file,
+        default=None,
+        help="JSON fault-plan file (overrides the rate flags)",
     )
     faults.add_argument(
         "--sanitize", action="store_true", help="run under the simulation sanitizer"
@@ -802,15 +795,15 @@ def build_parser() -> argparse.ArgumentParser:
     recover.add_argument("--seed", type=int, default=0)
     recover.add_argument("--scale", type=float, default=0.02, help="database scale")
     recover.add_argument(
-        "--write-fraction", type=float, default=0.5, dest="write_fraction",
+        "--write-fraction", type=_fraction, default=0.5, dest="write_fraction",
         help="fraction of the stream that are write transactions",
     )
     recover.add_argument(
-        "--crash-rate", type=float, default=1.0, dest="crash_rate",
+        "--crash-rate", type=_fraction, default=1.0, dest="crash_rate",
         help="probability the machine crash fires during the run",
     )
     recover.add_argument(
-        "--torn-rate", type=float, default=0.5, dest="torn_rate",
+        "--torn-rate", type=_fraction, default=0.5, dest="torn_rate",
         help="per-page torn-write probability at the moment of the crash",
     )
     recover.add_argument(
@@ -844,7 +837,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--arrivals", choices=["poisson", "bursty", "diurnal"], default="poisson"
         )
         parser_.add_argument(
-            "--rate", type=float, default=50.0, help="mean offered rate, queries/second"
+            "--rate",
+            type=_positive_float,
+            default=50.0,
+            help="mean offered rate, queries/second",
         )
         parser_.add_argument(
             "--duration-ms",
@@ -893,7 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="admission queue order (sjf = shortest estimated job first)",
         )
         parser_.add_argument(
-            "--write-mix", type=float, default=0.0, dest="write_mix",
+            "--write-mix", type=_fraction, default=0.0, dest="write_mix",
             help="fraction of arrivals that are write transactions "
             "(ring only; arms the WAL and reports abort/retry stats)",
         )

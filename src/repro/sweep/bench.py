@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import obs
+from repro.errors import CheckError
 
 #: Default output path (repo root when run from there).
 DEFAULT_OUT = "BENCH_sweeps.json"
@@ -249,6 +250,15 @@ def _wal_overhead_entry() -> dict:
     }
 
 
+#: Micro rows that ``run_bench`` times ahead of the sweep cases.
+MICRO_ROWS = ("sim_core", "spans_overhead", "wal_overhead")
+
+
+def known_names() -> List[str]:
+    """Every row name ``run_bench(only=...)`` can select."""
+    return list(MICRO_ROWS) + [case.name for case in bench_cases()]
+
+
 def run_bench(
     quick: bool = True,
     scale: Optional[float] = None,
@@ -332,7 +342,13 @@ def load_history(path: str = DEFAULT_OUT) -> dict:
 
 
 def append_bench(report: dict, path: str = DEFAULT_OUT) -> dict:
-    """Append ``report`` to the trajectory at ``path``; returns the history."""
+    """Append ``report`` to the trajectory at ``path``; returns the history.
+
+    An entry with no experiments is refused: the next ``--gate`` would
+    compare against it and pass vacuously.
+    """
+    if not report["experiments"]:
+        raise CheckError(f"refusing to append a bench entry with no experiments to {path}")
     history = load_history(path)
     history["entries"].append(report)
     write_bench(history, path)

@@ -2,6 +2,10 @@
 
 import json
 
+import pytest
+
+from repro.cli import main
+from repro.errors import CheckError
 from repro.sweep import bench
 
 
@@ -71,3 +75,21 @@ def test_compare_entries_custom_threshold():
     prev = _report(sim_core=1000)
     new = _report(sim_core=950)
     assert bench.compare_entries(prev, new, threshold=0.01) != []
+
+
+def test_bench_rejects_unknown_only_names_without_appending(tmp_path, capsys):
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--only", "nosuch", "--quick", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unknown bench name(s) nosuch" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_append_bench_refuses_an_empty_entry(tmp_path):
+    path = tmp_path / "BENCH.json"
+    bench.append_bench(_report(sim_core=1000), str(path))
+    before = path.read_text()
+    with pytest.raises(CheckError):
+        bench.append_bench(_report(), str(path))
+    assert path.read_text() == before

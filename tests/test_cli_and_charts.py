@@ -115,3 +115,41 @@ class TestCli:
         parser = build_parser()
         args = parser.parse_args(["run", "figure_3_1", "--processors", "5,10,20"])
         assert args.processors == [5, 10, 20]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["serve", "--rate", "0"], "--rate: must be > 0", id="serve-rate"),
+            pytest.param(
+                ["explain-latency", "--rate", "-5"], "--rate: must be > 0", id="explain-rate"
+            ),
+            pytest.param(
+                ["serve", "--write-mix", "1.5"], "--write-mix: must be in [0, 1]", id="write-mix"
+            ),
+            pytest.param(
+                ["faults", "--plan", "missing.json"], "--plan: no such file", id="faults-plan"
+            ),
+            pytest.param(
+                ["recover", "--write-fraction", "2"],
+                "--write-fraction: must be in [0, 1]",
+                id="write-fraction",
+            ),
+            pytest.param(
+                ["recover", "--crash-rate", "-0.1"],
+                "--crash-rate: must be in [0, 1]",
+                id="crash-rate",
+            ),
+            pytest.param(
+                ["recover", "--torn-rate", "nan"], "--torn-rate: must be in [0, 1]", id="torn-rate"
+            ),
+        ],
+    )
+    def test_bad_flag_values_are_usage_errors(self, argv, message, tmp_path, monkeypatch, capsys):
+        # Exit 2 (usage), never 1 (the oracle-mismatch code), and a
+        # one-line error instead of a traceback.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
