@@ -14,8 +14,9 @@ Two prongs keep both simulators bit-deterministic and leak-free:
   run under (``repro run <experiment> --sanitize``) that detects delay
   corruption, same-timestamp order hazards, resource-lease leaks, cache
   frame-accounting bugs, ring packet-conservation violations, and —
-  through the ambient :class:`~repro.check.sanitizer.LockOrderWitness`
-  — runtime lock-order inversions.
+  through each sanitizer's :class:`~repro.check.sanitizer.LockOrderWitness`
+  — runtime lock-order inversions.  Sanitize mode is switched on through
+  the run configuration: ``repro.obs.configured(sanitize=True)``.
 
 Only the sanitizer's entry points are re-exported here; the linter and
 flow analyses are CLI/test tools and are imported on demand.
@@ -23,18 +24,6 @@ flow analyses are CLI/test tools and are imported on demand.
 
 from __future__ import annotations
 
-from repro.check.sanitizer import (
-    LockOrderWitness,
-    Sanitizer,
-    active_witness,
-    is_active,
-    sanitizing,
-)
+from repro.check.sanitizer import LockOrderWitness, Sanitizer
 
-__all__ = [
-    "LockOrderWitness",
-    "Sanitizer",
-    "active_witness",
-    "is_active",
-    "sanitizing",
-]
+__all__ = ["LockOrderWitness", "Sanitizer"]

@@ -23,8 +23,8 @@ from __future__ import annotations
 import importlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.errors import CheckError
-from repro.obs.spans import collecting
 
 #: experiment name -> (module, quick kwargs).  Names match ``repro run``.
 QUICK_CONFIGS: Dict[str, Tuple[str, Dict]] = {
@@ -96,7 +96,7 @@ def identity_mismatches(experiments: Optional[Sequence[str]] = None) -> List[str
     mismatches: List[str] = []
     for name in names:
         baseline = render_experiment(name)
-        with collecting():
+        with obs.configured(spans=obs.SpanCollector()):
             variant = render_experiment(name)
         if baseline != variant:
             first_diff = next(

@@ -178,7 +178,7 @@ SEEDED_VIOLATIONS = {
         "    self.lock_a.acquire(request)\n"
     ),
     "R008": "def f(pending=[]):\n    return pending\n",
-    "R009": "def f():\n    ctx = sanitizing()\n    return ctx\n",
+    "R009": "def f():\n    ctx = configured()\n    return ctx\n",
     "R010": "import json\ndef f(report):\n    return json.dumps(report)\n",
     "R011": (
         "def deliver_update(self, page, row):\n"

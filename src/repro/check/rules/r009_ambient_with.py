@@ -1,14 +1,13 @@
 """R009 — ambient contexts are entered with ``with``.
 
-The ambient toggles (:func:`repro.check.sanitizer.sanitizing`,
-``injecting``, ``collecting``) flip
-process-global state and rely on their ``finally`` blocks to restore
-it.  Calling one without entering it does nothing; entering it manually
+The ambient run configuration (:func:`repro.obs.configured`) flips
+process-global state and relies on its ``finally`` block to restore
+it.  Calling it without entering it does nothing; entering it manually
 (``ctx.__enter__()``) leaks the global flip past the first exception.
 Either way the damage is invisible locally and surfaces as cross-run
 nondeterminism three modules away.
 
-A call to an ambient context passes only when it is
+A call to the ambient context passes only when it is
 
 * the context expression of a ``with`` / ``async with`` item, or
 * the argument of an ``ExitStack.enter_context(...)`` /
@@ -22,8 +21,8 @@ from typing import Iterator, Set
 
 from repro.check.rules.base import Rule, Violation
 
-#: The ambient context-manager factories, by bare or attribute name.
-_AMBIENT_NAMES = frozenset({"sanitizing", "injecting", "collecting"})
+#: The ambient context-manager factory, by bare or attribute name.
+_AMBIENT_NAMES = frozenset({"configured"})
 _ENTER_NAMES = frozenset({"enter_context", "enter_async_context"})
 
 

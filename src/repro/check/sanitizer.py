@@ -30,66 +30,31 @@ instead of a sanitizer unless sanitize mode is requested, mirroring the
 pre-bound observability pattern — a disabled run pays one ``is not None``
 check per event.
 
-Enable per-simulator (``Simulator(sanitize=True)``) or ambiently for a
-block (every simulator *constructed inside* picks it up)::
+Sanitize mode is one field of the run configuration (:mod:`repro.obs`).
+Enable it per simulator (``Simulator(RunConfig(sanitize=True))``) or for
+a block (every simulator *constructed inside* picks it up)::
 
-    from repro import check
+    from repro import obs
 
-    with check.sanitizing():
+    with obs.configured(sanitize=True):
         report = run_benchmark(catalog, queries, processors=8)
 
-The ``repro run <experiment> --sanitize`` CLI flag wraps the experiment in
-exactly this context manager.
+The ``repro run <experiment> --sanitize`` CLI flag wraps the command in
+exactly this context manager.  Each :class:`Sanitizer` owns a
+:class:`LockOrderWitness`; the ring machine's lock manager binds it at
+construction, so a machine keeps its witness when ``run()`` happens
+outside the block.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from contextlib import contextmanager
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Sequence, Tuple
 
 from repro.errors import SanitizerError
 
-__all__ = [
-    "LockOrderWitness",
-    "Sanitizer",
-    "active_witness",
-    "is_active",
-    "sanitizing",
-]
-
-#: Ambient sanitize mode; read once by each Simulator at construction.
-_active: bool = False
-#: Ambient lock-order witness; consulted by LockManager on every grant.
-_witness: Optional["LockOrderWitness"] = None
-
-
-def is_active() -> bool:
-    """True when simulators built right now should sanitize."""
-    return _active
-
-
-def active_witness() -> Optional["LockOrderWitness"]:
-    """The ambient lock-order witness, or None outside ``sanitizing()``."""
-    return _witness
-
-
-@contextmanager
-def sanitizing() -> Iterator[None]:
-    """Enable sanitize mode for simulators constructed inside the block.
-
-    Also arms a fresh :class:`LockOrderWitness` for the block, so every
-    ``LockManager`` grant inside is order-checked at runtime.
-    """
-    global _active, _witness
-    previous, previous_witness = _active, _witness
-    _active = True
-    _witness = LockOrderWitness()
-    try:
-        yield
-    finally:
-        _active, _witness = previous, previous_witness
+__all__ = ["LockOrderWitness", "Sanitizer"]
 
 
 class LockOrderWitness:
@@ -178,6 +143,8 @@ class Sanitizer:
         #: Pending events per exact time value: [count, unlabeled_count].
         self._pending: Dict[float, List[int]] = {}
         self._finish_checks: List[Tuple[str, Callable[[], List[str]]]] = []
+        #: Checks every lock grant of the run's ``LockManager``.
+        self.witness = LockOrderWitness()
         self.events_audited = 0
         self.finished = False
 

@@ -39,12 +39,16 @@ Commands:
                                 ``--tracing-identity`` proves span
                                 tracing changes no output bytes
 
-``run``/``trace``/``metrics`` accept ``--sanitize`` to enable the runtime
-simulation sanitizer (event-order, delay, lease, cache, and ring
-invariants; violations raise ``SanitizerError``).
+``run``/``trace``/``metrics``/``faults``/``recover``/``serve`` accept
+``--sanitize`` to enable the runtime simulation sanitizer (event-order,
+delay, lease, cache, ring, and lock-order invariants; violations raise
+``SanitizerError``).  ``main`` binds it once, as the ``sanitize`` field
+of the run configuration (:func:`repro.obs.configured`), around the
+whole command.
 
 Sweep experiments accept ``--workers N`` to fan independent sweep points
-out over N worker processes; results are byte-identical to serial.
+out over N worker processes; results are byte-identical to serial, and
+the workers run under the same sanitize mode.
 
 Examples::
 
@@ -65,7 +69,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import contextlib
+import inspect
 import json
 import os
 import sys
@@ -138,23 +142,39 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _existing_file(text: str) -> str:
     if not os.path.isfile(text):
         raise argparse.ArgumentTypeError(f"no such file: {text}")
     return text
 
 
-def _bench_names(text: str) -> Optional[List[str]]:
-    from repro.sweep.bench import known_names
-
+def _name_list(text: str, known: List[str], what: str) -> Optional[List[str]]:
     names = [part for part in text.split(",") if part]
-    known = known_names()
     unknown = [name for name in names if name not in known]
     if unknown:
         raise argparse.ArgumentTypeError(
-            f"unknown bench name(s) {', '.join(unknown)} (choose from {', '.join(known)})"
+            f"unknown {what} name(s) {', '.join(unknown)} (choose from {', '.join(known)})"
         )
     return names or None
+
+
+def _bench_names(text: str) -> Optional[List[str]]:
+    from repro.sweep.bench import known_names
+
+    return _name_list(text, known_names(), "bench")
+
+
+def _identity_names(text: str) -> Optional[List[str]]:
+    from repro.check.identity import QUICK_CONFIGS
+
+    return _name_list(text, list(QUICK_CONFIGS), "experiment")
 
 
 def _cmd_list(_args) -> int:
@@ -177,10 +197,6 @@ def _experiment_kwargs(args) -> Dict[str, object]:
         kwargs["ips"] = tuple(args.ips)
     if getattr(args, "workers", None) is not None:
         kwargs["workers"] = args.workers
-    if getattr(args, "sanitize", False):
-        # The sanitize flag is ambient and process-local, so sweep points
-        # must stay in this process.
-        kwargs["workers"] = 1
     return kwargs
 
 
@@ -190,18 +206,18 @@ def _run_experiment(args):
         print(f"unknown experiment {args.experiment!r}; try 'python -m repro list'")
         return None, 2
     module, _summary = _EXPERIMENTS[args.experiment]
-    try:
-        # The sanitizer is process-local and forces workers=1 in
-        # _experiment_kwargs.
-        with contextlib.ExitStack() as stack:
-            if getattr(args, "sanitize", False):
-                from repro.check import sanitizing
-
-                stack.enter_context(sanitizing())
-            return module.run(**_experiment_kwargs(args)), 0
-    except TypeError as exc:
-        print(f"experiment {args.experiment!r} rejected options: {exc}")
+    kwargs = _experiment_kwargs(args)
+    # Checked before the call, so a TypeError raised inside the
+    # experiment stays a crash instead of passing for a usage error.
+    accepted = inspect.signature(module.run).parameters
+    unknown = [name for name in kwargs if name not in accepted]
+    if unknown:
+        print(
+            f"experiment {args.experiment!r} rejected options: run() got an "
+            f"unexpected keyword argument {unknown[0]!r}"
+        )
         return None, 2
+    return module.run(**kwargs), 0
 
 
 def _cmd_run(args) -> int:
@@ -220,21 +236,21 @@ def _cmd_run(args) -> int:
 
 def _cmd_trace(args) -> int:
     out = args.out or f"{args.experiment}.trace.json"
-    tracer = obs.Tracer(stream_path=out) if args.stream else None
-    with obs.observe(trace=True, metrics=False, tracer=tracer) as session:
+    tracer = obs.Tracer(stream_path=out) if args.stream else obs.Tracer()
+    with obs.configured(tracer=tracer):
         result, code = _run_experiment(args)
     if result is None:
         return code
     if args.stream:
-        count = session.tracer.close()
+        count = tracer.close()
         print(
             f"streamed {count} trace events to {out} "
             f"(load in chrome://tracing or https://ui.perfetto.dev)"
         )
     else:
-        session.tracer.write(out)
+        tracer.write(out)
         print(
-            f"wrote {session.tracer.event_count} trace events to {out} "
+            f"wrote {tracer.event_count} trace events to {out} "
             f"(load in chrome://tracing or https://ui.perfetto.dev)"
         )
     return 0
@@ -243,16 +259,17 @@ def _cmd_trace(args) -> int:
 def _cmd_metrics(args) -> int:
     from repro.experiments.common import metrics_report
 
-    with obs.observe(trace=False, metrics=True) as session:
+    registry = obs.MetricsRegistry()
+    with obs.configured(metrics=registry):
         result, code = _run_experiment(args)
     if result is None:
         return code
     if args.format == "csv":
         from repro.obs.metrics import report_csv
 
-        text = report_csv(session.metrics.report()).rstrip("\n")
+        text = report_csv(registry.report()).rstrip("\n")
     else:
-        report = metrics_report(session.metrics, experiment_id=args.experiment)
+        report = metrics_report(registry, experiment_id=args.experiment)
         text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -331,10 +348,7 @@ def _cmd_check(args) -> int:
     if args.tracing_identity:
         from repro.check.identity import identity_mismatches
 
-        experiments = [
-            part for part in (args.experiments or "").split(",") if part
-        ] or None
-        mismatches = identity_mismatches(experiments)
+        mismatches = identity_mismatches(args.experiments)
         for mismatch in mismatches:
             print(mismatch)
         if mismatches:
@@ -392,23 +406,14 @@ def _cmd_faults(args) -> int:
             )
         plan = FaultPlan(seed=args.seed, specs=tuple(specs))
 
-    def execute() -> dict:
-        return run_faulted_benchmark(
-            args.machine,
-            plan,
-            scale=args.scale,
-            selectivity=args.selectivity,
-            seed=args.seed,
-            processors=args.processors,
-        )
-
-    if args.sanitize:
-        from repro.check import sanitizing
-
-        with sanitizing():
-            summary = execute()
-    else:
-        summary = execute()
+    summary = run_faulted_benchmark(
+        args.machine,
+        plan,
+        scale=args.scale,
+        selectivity=args.selectivity,
+        seed=args.seed,
+        processors=args.processors,
+    )
     payload = {"machine": args.machine, "plan": plan.to_dict(), **summary}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
@@ -433,27 +438,18 @@ def _cmd_recover(args) -> int:
     """
     from repro.recovery.harness import run_crash_trial
 
-    def execute():
-        return run_crash_trial(
-            machine=args.machine,
-            seed=args.seed,
-            scale=args.scale,
-            write_fraction=args.write_fraction,
-            crash_rate=args.crash_rate,
-            torn_page_rate=args.torn_rate,
-            log_tail_rate=args.tail_rate,
-            crash_at_ms=args.crash_at,
-            queries=args.queries,
-            processors=args.processors,
-        )
-
-    if args.sanitize:
-        from repro.check import sanitizing
-
-        with sanitizing():
-            trial = execute()
-    else:
-        trial = execute()
+    trial = run_crash_trial(
+        machine=args.machine,
+        seed=args.seed,
+        scale=args.scale,
+        write_fraction=args.write_fraction,
+        crash_rate=args.crash_rate,
+        torn_page_rate=args.torn_rate,
+        log_tail_rate=args.tail_rate,
+        crash_at_ms=args.crash_at,
+        queries=args.queries,
+        processors=args.processors,
+    )
     if args.dump_prefix:
         recovered_path = f"{args.dump_prefix}.recovered.bin"
         oracle_path = f"{args.dump_prefix}.oracle.bin"
@@ -502,14 +498,7 @@ def _cmd_serve(args) -> int:
     """Run one serving session; print (or write) the JSON SLO report."""
     from repro.serve import serve
 
-    config = _serve_config(args)
-    if args.sanitize:
-        from repro.check import sanitizing
-
-        with sanitizing():
-            slo = serve(config)
-    else:
-        slo = serve(config)
+    slo = serve(_serve_config(args))
     text = json.dumps(slo, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -523,13 +512,12 @@ def _cmd_serve(args) -> int:
 def _cmd_explain_latency(args) -> int:
     """A traced serving run: critical-path latency attribution report."""
     from repro.obs.critical_path import explain
-    from repro.obs.spans import SpanCollector, collecting
     from repro.obs.timeseries import build_tsdb, spans_chrome_trace
     from repro.serve import serve
 
     config = _serve_config(args)
-    collector = SpanCollector(window_ms=args.window_ms)
-    with collecting(collector):
+    collector = obs.SpanCollector(window_ms=args.window_ms)
+    with obs.configured(spans=collector):
         slo = serve(config)
     report = explain(
         collector,
@@ -592,7 +580,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_experiment_options(parser_: argparse.ArgumentParser) -> None:
         parser_.add_argument("experiment", help="experiment name (see 'list')")
         parser_.add_argument(
-            "--scale", type=float, default=None, help="database scale (1.0 = 5.5 MB)"
+            "--scale",
+            type=_positive_float,
+            default=None,
+            help="database scale (1.0 = 5.5 MB)",
         )
         parser_.add_argument(
             "--selectivity", type=float, default=None, help="restrict selectivity"
@@ -603,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser_.add_argument("--ips", type=_int_list, default=None, help="e.g. 5,25,50")
         parser_.add_argument(
             "--workers",
-            type=int,
+            type=_non_negative_int,
             default=None,
             help="worker processes for sweep points (0 = one per CPU); "
             "results are byte-identical to serial",
@@ -612,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--sanitize",
             action="store_true",
             help="run with the simulation sanitizer enabled (invariant "
-            "violations raise SanitizerError); forces serial execution",
+            "violations raise SanitizerError)",
         )
 
     run = sub.add_parser("run", help="run one experiment")
@@ -648,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     workload = sub.add_parser("workload", help="describe the benchmark database")
-    workload.add_argument("--scale", type=float, default=0.1)
+    workload.add_argument("--scale", type=_positive_float, default=0.1)
     workload.add_argument("--seed", type=int, default=1979)
 
     bench = sub.add_parser(
@@ -658,11 +649,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true", help="small grids at scale 0.05 (CI smoke)"
     )
     bench.add_argument(
-        "--scale", type=float, default=None, help="override the workload scale"
+        "--scale", type=_positive_float, default=None, help="override the workload scale"
     )
     bench.add_argument(
         "--workers",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="sweep worker processes (0 = one per CPU)",
     )
@@ -725,6 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--experiments",
+        type=_identity_names,
         default=None,
         help="comma-separated experiment subset for the identity gate",
     )
@@ -736,7 +728,9 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--machine", choices=["ring", "direct"], default="ring", help="target machine"
     )
-    faults.add_argument("--scale", type=float, default=0.05, help="database scale")
+    faults.add_argument(
+        "--scale", type=_positive_float, default=0.05, help="database scale"
+    )
     faults.add_argument("--selectivity", type=float, default=0.3)
     faults.add_argument("--seed", type=int, default=2027, help="plan + workload seed")
     faults.add_argument("--processors", type=int, default=8)
@@ -793,7 +787,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--machine", choices=["ring", "direct", "dataflow"], default="ring"
     )
     recover.add_argument("--seed", type=int, default=0)
-    recover.add_argument("--scale", type=float, default=0.02, help="database scale")
+    recover.add_argument(
+        "--scale", type=_positive_float, default=0.02, help="database scale"
+    )
     recover.add_argument(
         "--write-fraction", type=_fraction, default=0.5, dest="write_fraction",
         help="fraction of the stream that are write transactions",
@@ -850,7 +846,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="arrival window in simulated ms (the run then drains)",
         )
         parser_.add_argument("--seed", type=int, default=1979)
-        parser_.add_argument("--scale", type=float, default=0.05, help="database scale")
+        parser_.add_argument(
+            "--scale", type=_positive_float, default=0.05, help="database scale"
+        )
         parser_.add_argument(
             "--b-domain", type=int, default=100, dest="b_domain",
             help="join-attribute domain (small keeps joins non-empty at low scale)",
@@ -960,7 +958,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return 0
-    return commands[args.command](args)
+    with obs.configured(sanitize=getattr(args, "sanitize", False)):
+        return commands[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

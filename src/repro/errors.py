@@ -51,8 +51,9 @@ class ConcurrencyError(ReproError):
 class SanitizerError(ReproError):
     """The runtime simulation sanitizer detected an invariant violation.
 
-    Raised only when a simulator runs with ``sanitize=True`` (or inside
-    :func:`repro.check.sanitizing`); the message carries a trace-context
+    Raised only when a simulator runs in sanitize mode (its run
+    configuration has ``sanitize=True``, e.g. inside
+    ``repro.obs.configured(sanitize=True)``); the message carries a trace-context
     breadcrumb of the most recently fired events.
     """
 

@@ -33,8 +33,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.errors import FaultError
-from repro.faults import FAULT_KINDS, FaultPlan, FaultSpec, injecting
+from repro.faults import FAULT_KINDS, FaultPlan, FaultSpec
 from repro.query import execute
 from repro.direct.machine import DirectMachine
 from repro.experiments.common import ExperimentResult
@@ -105,7 +106,7 @@ def run_faulted_benchmark(
     }
     trees = benchmark_queries(db.catalog, db.relation_names, selectivity=selectivity)
     if machine == "ring":
-        with injecting(plan):
+        with obs.configured(faults=plan):
             rig = RingMachine(
                 db.catalog,
                 processors=processors,
@@ -119,7 +120,7 @@ def run_faulted_benchmark(
         report = rig.run()
         sim = rig.sim
     else:
-        with injecting(plan):
+        with obs.configured(faults=plan):
             dm = DirectMachine(db.catalog, processors=processors, page_bytes=page_bytes)
         for tree in trees:
             dm.submit(tree)
@@ -178,7 +179,7 @@ def run_faulted_write_benchmark(
     )
     store = StableStore()
     tm = TransactionManager(store, page_bytes)
-    with injecting(plan):
+    with obs.configured(faults=plan):
         if machine == "ring":
             rig = RingMachine(
                 db.catalog,

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro import obs
 from repro.errors import MachineError
-from repro.faults import FaultPlan, FaultSpec, injecting
+from repro.faults import FaultPlan, FaultSpec
 from repro.query import execute
 from repro.experiments.common import ExperimentResult
 from repro.ring.machine import RingMachine
@@ -60,7 +61,7 @@ def _sweep_point(
             ),
         ),
     )
-    with injecting(plan):
+    with obs.configured(faults=plan):
         machine = RingMachine(
             db.catalog,
             processors=processors,

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro import obs
 from repro.experiments.common import ExperimentResult
 from repro.obs.critical_path import BUCKETS, explain
-from repro.obs.spans import SpanCollector, collecting
+from repro.obs.spans import SpanCollector
 from repro.serve import ServeConfig, serve
 from repro.sweep import map_points
 
@@ -59,7 +60,7 @@ def _point(
         queue_limit=queue_limit,
     )
     collector = SpanCollector()
-    with collecting(collector):
+    with obs.configured(spans=collector):
         slo = serve(config)
     return {"slo": slo, "explain": explain(collector, top=1)}
 

@@ -55,15 +55,16 @@ be able to survive an arbitrary number of disabled processors"):
     committed transaction is lost.  Only meaningful alongside
     ``machine_crash``.
 
-Ambient arming mirrors :func:`repro.check.sanitizing`: simulators
-constructed inside :func:`injecting` pick the plan up automatically::
+A plan is armed through the run configuration (:mod:`repro.obs`):
+simulators constructed inside ``obs.configured(faults=plan)`` pick it up
+automatically, and the sweep runner ships it to worker processes::
 
-    from repro import faults
+    from repro import faults, obs
 
     plan = faults.FaultPlan(seed=7, specs=(
         faults.FaultSpec(kind="ring_drop", rate=0.05),
     ))
-    with faults.injecting(plan):
+    with obs.configured(faults=plan):
         machine = RingMachine(catalog, processors=8, fault_tolerant=True)
     report = machine.run()   # injector already bound at construction
 """
@@ -71,13 +72,12 @@ constructed inside :func:`injecting` pick the plan up automatically::
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import FaultError
 
-__all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan", "active_plan", "injecting"]
+__all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan"]
 
 #: Every fault class the injector understands.
 FAULT_KINDS: Tuple[str, ...] = (
@@ -213,28 +213,3 @@ class FaultPlan:
     def from_json(cls, text: str) -> "FaultPlan":
         return cls.from_dict(json.loads(text))
 
-
-#: Ambient fault plan; read once by each Simulator at construction.
-_ambient: Optional[FaultPlan] = None
-
-
-def active_plan() -> Optional[FaultPlan]:
-    """The plan simulators built right now should inject under (or None)."""
-    return _ambient
-
-
-@contextmanager
-def injecting(plan: FaultPlan) -> Iterator[FaultPlan]:
-    """Arm ``plan`` for simulators constructed inside the block.
-
-    Mirrors :func:`repro.check.sanitizing`: the plan is captured at
-    ``Simulator.__init__`` time, so the context need only cover machine
-    construction — ``run()`` can happen outside it.
-    """
-    global _ambient
-    previous = _ambient
-    _ambient = plan
-    try:
-        yield plan
-    finally:
-        _ambient = previous

@@ -1,29 +1,36 @@
-"""Unified observability: metrics registry + structured tracing.
+"""Run configuration: how every simulator built right now behaves.
 
-Both simulators (:mod:`repro.direct`, :mod:`repro.ring`) are instrumented
-against this package.  Observability is carried by an :class:`ObsSession`
-— a (tracer, metrics) pair — and the *ambient* session is what a freshly
-constructed :class:`repro.sim.engine.Simulator` picks up.  The default
-ambient session is disabled on both axes, so an uninstrumented run pays
-one ``.enabled`` attribute check per hook and records nothing; behaviour
-and results are bit-identical either way (hooks only observe, never
-schedule).
+One frozen :class:`RunConfig` decides a run's mode on all five axes —
+the tracer and metrics registry it records into, the span collector
+(:mod:`repro.obs.spans`), sanitize mode (:mod:`repro.check.sanitizer`),
+and the fault plan (:mod:`repro.faults`).  :func:`configured` makes a
+changed copy of the current config ambient for a block; nested blocks
+compose field by field.  A :class:`repro.sim.engine.Simulator` reads the
+ambient config once, at construction, so a machine built inside a block
+keeps its mode when ``run()`` happens after the block exits.
+
+The default config is disabled on every axis, so an uninstrumented run
+pays one ``is not None`` (or ``.enabled``) check per hook and records
+nothing; behaviour and results are bit-identical either way (hooks only
+observe, never schedule).  The sweep runner ships ``sanitize``,
+``faults`` and the metrics-capture flag to worker processes explicitly,
+so workers see the parent's mode under any start method.
 
 Typical use::
 
     from repro import obs
 
-    with obs.observe(trace=True, metrics=True) as session:
+    with obs.configured(tracer=obs.Tracer(), metrics=obs.MetricsRegistry()) as config:
         report = run_ring_benchmark(catalog, queries)     # instrumented
-    session.tracer.write("run.trace.json")                # Perfetto-loadable
-    print(session.metrics.report(end_time_ms=report.elapsed_ms))
+    config.tracer.write("run.trace.json")                 # Perfetto-loadable
+    print(config.metrics.report(end_time_ms=report.elapsed_ms))
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.obs.metrics import (
     NULL_REGISTRY,
@@ -31,48 +38,69 @@ from repro.obs.metrics import (
     metric_key,
     parse_metric_key,
 )
-from repro.obs.spans import SpanCollector, active_collector, collecting
+from repro.obs.spans import SpanCollector
 from repro.obs.tracer import NULL_TRACER, Tracer
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from repro.faults.plan import FaultPlan
 
 __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NULL_TRACER",
-    "ObsSession",
+    "RunConfig",
     "SpanCollector",
     "Tracer",
-    "active_collector",
-    "ambient",
-    "collecting",
-    "install",
+    "configured",
+    "current",
     "metric_key",
     "next_run_id",
-    "observe",
     "parse_metric_key",
     "peek_run_id",
     "set_next_run_id",
 ]
 
 
-@dataclass
-class ObsSession:
-    """One (tracer, metrics) pair the simulators record into."""
+@dataclass(frozen=True)
+class RunConfig:
+    """The mode a simulator binds at construction, on every axis."""
 
-    tracer: Tracer = field(default_factory=lambda: NULL_TRACER)
-    metrics: MetricsRegistry = field(default_factory=lambda: NULL_REGISTRY)
+    tracer: Tracer = NULL_TRACER
+    metrics: MetricsRegistry = NULL_REGISTRY
+    #: Armed span collection, or None when off.
+    spans: Optional[SpanCollector] = None
+    #: Run the simulation sanitizer (and its lock-order witness).
+    sanitize: bool = False
+    #: Fault plan to inject under, or None; an unarmed plan binds nothing.
+    faults: Optional["FaultPlan"] = None
 
-    @property
-    def enabled(self) -> bool:
-        """True when either axis is recording."""
-        return self.tracer.enabled or self.metrics.enabled
+
+_current = RunConfig()
 
 
-#: The disabled default every simulator sees unless someone observes.
-_DISABLED = ObsSession()
-_ambient: ObsSession = _DISABLED
+def current() -> RunConfig:
+    """The config a newly built Simulator will bind."""
+    return _current
+
+
+@contextmanager
+def configured(**changes) -> Iterator[RunConfig]:
+    """Make ``replace(current(), **changes)`` ambient for the block.
+
+    Only simulators *constructed inside* the block pick it up — a
+    Simulator binds its config once, at construction.
+    """
+    global _current
+    previous = _current
+    _current = replace(previous, **changes)
+    try:
+        yield _current
+    finally:
+        _current = previous
+
 
 #: Monotone ids handed to instrumented Simulators.  A sweep experiment
-#: builds many machines under one session; the id becomes the ``run``
+#: builds many machines under one registry; the id becomes the ``run``
 #: label that keeps their time series and per-query gauges apart.  A
 #: plain integer (not itertools.count) so the sweep runner can read and
 #: re-seed the counter — parallel workers number their runs locally and
@@ -104,41 +132,3 @@ def set_next_run_id(value: int) -> None:
     """
     global _next_run
     _next_run = value
-
-
-def ambient() -> ObsSession:
-    """The session a newly built Simulator will record into."""
-    return _ambient
-
-
-def install(session: ObsSession) -> ObsSession:
-    """Make ``session`` ambient; returns the one it replaced."""
-    global _ambient
-    previous = _ambient
-    _ambient = session
-    return previous
-
-
-@contextmanager
-def observe(
-    trace: bool = True,
-    metrics: bool = True,
-    tracer: Optional[Tracer] = None,
-    registry: Optional[MetricsRegistry] = None,
-) -> Iterator[ObsSession]:
-    """Install a fresh (or given) session as ambient for the block.
-
-    Only simulators *constructed inside* the block pick the session up —
-    a Simulator binds its session once, at construction.
-    """
-    session = ObsSession(
-        tracer=tracer if tracer is not None else (Tracer() if trace else NULL_TRACER),
-        metrics=registry
-        if registry is not None
-        else (MetricsRegistry() if metrics else NULL_REGISTRY),
-    )
-    previous = install(session)
-    try:
-        yield session
-    finally:
-        install(previous)

@@ -9,8 +9,8 @@ extractor in :mod:`repro.obs.critical_path` turns that into an exact
 queueing / service / transit / disk / retransmission partition of the
 query's end-to-end latency.
 
-Binding follows the sanitizer/injector ambient pattern: ``collecting()``
-installs a collector, ``Simulator.__init__`` snapshots it once, and
+Binding follows the run-config pattern: ``obs.configured(spans=...)``
+arms a collector, ``Simulator.__init__`` snapshots it once, and
 components pre-bind ``sim.spans`` so a disabled collector costs one
 ``is not None`` check per hook.  Armed collection must never perturb the
 simulation: hooks only *observe* state transitions that already happen —
@@ -24,8 +24,7 @@ O(windows + completed queries), not O(samples).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.timeseries import BusyFold, CumulativeFold, StepFold
 
@@ -151,27 +150,3 @@ class SpanCollector:
     def capacities(self) -> Dict[str, int]:
         return self._capacity
 
-
-# ---------------------------------------------------------------- ambient context
-
-_ambient: Optional[SpanCollector] = None
-
-
-def active_collector() -> Optional[SpanCollector]:
-    """The ambient collector, or None when span collection is off."""
-    return _ambient
-
-
-@contextmanager
-def collecting(
-    collector: Optional[SpanCollector] = None,
-) -> Iterator[SpanCollector]:
-    """Arm span collection for simulators constructed inside the block."""
-    global _ambient
-    installed = collector if collector is not None else SpanCollector()
-    previous = _ambient
-    _ambient = installed
-    try:
-        yield installed
-    finally:
-        _ambient = previous

@@ -26,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro import obs
 from repro.errors import CrashError, ReproError
-from repro.faults import FaultPlan, FaultSpec, injecting
+from repro.faults import FaultPlan, FaultSpec
 from repro.query.interpreter import execute
 from repro.query.tree import QueryTree
 from repro.recovery.apply import canonical_pages, write_target
@@ -209,7 +210,7 @@ def run_crash_trial(
             FaultSpec("log_tail_corrupt", rate=log_tail_rate),
         ),
     )
-    with injecting(plan):
+    with obs.configured(faults=plan):
         m = _build_machine(machine, db.catalog, page_bytes, processors)
     m.attach_recovery(tm)
 

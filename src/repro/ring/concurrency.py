@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
-from repro.check.sanitizer import active_witness
+from repro.check.sanitizer import LockOrderWitness
 from repro.errors import ConcurrencyError
 from repro.query.tree import QueryTree
 
@@ -66,12 +66,14 @@ class LockManager:
     """All-at-once relation locks with FIFO admission.
 
     ``try_acquire`` either grants the entire lock set or nothing; the MC
-    retries the queue head whenever a query releases.
+    retries the queue head whenever a query releases.  A sanitized run
+    passes its sanitizer's ``witness``, which then checks every grant.
     """
 
-    def __init__(self):
+    def __init__(self, witness: Optional[LockOrderWitness] = None):
         self._held: Dict[str, _Held] = {}
         self._owners: Dict[str, LockRequest] = {}
+        self._witness = witness
 
     # -- admission -------------------------------------------------------------
 
@@ -99,7 +101,7 @@ class LockManager:
             held.holders.add(request.query_name)
         for relation in sorted(request.exclusive):
             self._held[relation] = _Held(LockMode.EXCLUSIVE, {request.query_name})
-        witness = active_witness()
+        witness = self._witness
         if witness is not None:
             # The whole set is granted or nothing is, so the witness sees
             # one atomic grant: no hold-and-wait inside it, no ordering
@@ -153,7 +155,7 @@ class LockManager:
             shared=request.shared - {relation},
             exclusive=request.exclusive | {relation},
         )
-        witness = active_witness()
+        witness = self._witness
         if witness is not None:
             # The lock is already held, so no new edge can form; recording
             # keeps the upgrade visible in the witness's acquisition trail.
@@ -178,7 +180,7 @@ class LockManager:
             raise ConcurrencyError(
                 f"query {query_name!r} holds no locks (double release?)"
             )
-        witness = active_witness()
+        witness = self._witness
         if witness is not None:
             witness.release(query_name)
         for relation in sorted(request.relations):

@@ -34,7 +34,10 @@ class MasterController:
 
     def __init__(self, machine: "RingMachine"):
         self.machine = machine
-        self.locks = LockManager()
+        sanitizer = machine.sim.sanitizer
+        self.locks = LockManager(
+            witness=sanitizer.witness if sanitizer is not None else None
+        )
         self.query_queue: Deque[QueryTree] = deque()
         self.free_ips: List["InstructionProcessor"] = []
         #: Outstanding IP wants per IC id.

@@ -57,8 +57,8 @@ class Ring:
         self.bytes_carried = 0
         self.messages_carried = 0
         self.broadcasts = 0
-        # Pre-bound observability (the session never flips after the
-        # simulator is built): a disabled run pays one ``is not None``
+        # Pre-bound observability (the run configuration never flips
+        # after the simulator is built): a disabled run pays one ``is not None``
         # check per message, and an enabled run skips the per-message
         # registry re-keying by holding its instruments directly.
         self._trace = sim.tracer if sim.tracer.enabled else None

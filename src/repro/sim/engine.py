@@ -13,9 +13,10 @@ Hot-path notes:
   scheduling order (buckets only grow by append and sequence numbers are
   monotone), which preserves the pre-batching ``(time, sequence)`` total
   order bit-for-bit.
-* Observability hooks are pre-bound at construction (a session binds once,
-  at ``__init__``) so a disabled run pays one ``is not None`` check per
-  event instead of chained attribute loads.
+* The run configuration (:class:`repro.obs.RunConfig`: tracer, metrics,
+  spans, sanitize, faults) binds once, at ``__init__``, and its hooks are
+  pre-bound so a disabled run pays one ``is not None`` check per event
+  instead of chained attribute loads.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.sim.schedulers import TieBatchedHeap
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.check.sanitizer import Sanitizer
     from repro.faults.injector import FaultInjector
-    from repro.faults.plan import FaultPlan
+    from repro.obs import RunConfig
     from repro.obs.spans import SpanCollector
 
 
@@ -86,13 +87,11 @@ class Simulator:
     [5.0]
     """
 
-    def __init__(
-        self,
-        tracer=None,
-        metrics=None,
-        sanitize: Optional[bool] = None,
-        faults: Optional["FaultPlan"] = None,
-    ):
+    def __init__(self, config: Optional["RunConfig"] = None):
+        # Imported lazily: repro.obs reuses the monitor instruments from
+        # this package.
+        from repro import obs
+
         self._now = 0.0
         self._fel = TieBatchedHeap()
         self._sequence = itertools.count()
@@ -106,69 +105,39 @@ class Simulator:
         self._batch: List[Event] = []
         self._batch_pos = 0
         self._batch_time = 0.0
-        # The sanitizer binds once, like observability: explicit argument
-        # wins, otherwise the ambient sanitize mode (off by default).  A
-        # non-sanitizing run holds None and pays one identity check per
-        # event.
-        if sanitize is None:
-            from repro.check.sanitizer import is_active
-
-            sanitize = is_active()
-        if sanitize:
+        # The run configuration binds once, at construction: an explicit
+        # config wins, otherwise the ambient one (disabled by default).
+        # Every hook below is None when its axis is off, so the event
+        # loop and the components pay one identity check per hook.
+        if config is None:
+            config = obs.current()
+        self._sanitizer: Optional["Sanitizer"] = None
+        if config.sanitize:
             from repro.check.sanitizer import Sanitizer
 
-            self._sanitizer: Optional["Sanitizer"] = Sanitizer()
-        else:
-            self._sanitizer = None
-        # Observability binds once, at construction: explicit arguments
-        # win, otherwise the ambient repro.obs session (disabled by
-        # default).  Imported lazily — repro.obs reuses the monitor
-        # instruments from this package.
-        if tracer is None or metrics is None:
-            from repro.obs import ambient
-
-            session = ambient()
-            tracer = tracer if tracer is not None else session.tracer
-            metrics = metrics if metrics is not None else session.metrics
-        self.tracer = tracer
-        self.metrics = metrics
-        # Pre-bound fast paths: None when the axis is disabled, so the
-        # event loop does one identity check instead of two attribute
-        # chains per event.  ``enabled`` never flips after construction.
-        self._trace = tracer if tracer.enabled else None
-        self._event_counter = metrics.counter("sim.events") if metrics.enabled else None
+            self._sanitizer = Sanitizer()
+        self.tracer = config.tracer
+        self.metrics = config.metrics
+        self._trace = self.tracer if self.tracer.enabled else None
+        self._event_counter = (
+            self.metrics.counter("sim.events") if self.metrics.enabled else None
+        )
         # The ``run`` metric label: sweeps build many simulators under one
         # registry; the label keeps their series and gauges apart.
-        if metrics.enabled:
-            from repro.obs import next_run_id
-
-            self.run_id = next_run_id()
-        else:
-            self.run_id = 0
-        # Fault injection binds the same way the sanitizer does: explicit
-        # plan wins, else the ambient repro.faults plan.  A plan with
-        # nothing armed binds no injector, so components keep their
-        # fault-free fast paths and the run is bit-identical to an
+        self.run_id = obs.next_run_id() if self.metrics.enabled else 0
+        # A plan with nothing armed binds no injector, so components keep
+        # their fault-free fast paths and the run is bit-identical to an
         # unarmed one.  (Bound after observability — the injector
         # pre-binds this simulator's tracer/metrics.)
-        if faults is None:
-            from repro.faults.plan import active_plan
-
-            faults = active_plan()
-        if faults is not None and faults.armed:
+        self._faults: Optional["FaultInjector"] = None
+        if config.faults is not None and config.faults.armed:
             from repro.faults.injector import FaultInjector
 
-            self._faults: Optional["FaultInjector"] = FaultInjector(faults, self)
-        else:
-            self._faults = None
-        # Span collection binds last, the same ambient way: None when off,
-        # so components pre-bind ``sim.spans`` and pay one identity check.
-        # Armed collection only *observes* — it never schedules events,
-        # so ``events_processed`` (and every report byte) is unchanged;
-        # ``repro check --tracing-identity`` proves it.
-        from repro.obs.spans import active_collector
-
-        self.spans: Optional["SpanCollector"] = active_collector()
+            self._faults = FaultInjector(config.faults, self)
+        # Armed span collection only *observes* — it never schedules
+        # events, so ``events_processed`` (and every report byte) is
+        # unchanged; ``repro check --tracing-identity`` proves it.
+        self.spans: Optional["SpanCollector"] = config.spans
 
     # -- clock ----------------------------------------------------------------
 

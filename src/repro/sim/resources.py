@@ -7,7 +7,7 @@ Callers submit *jobs* with a known service time; the resource runs up to
 and queueing statistics are tracked for the experiment reports.
 
 Hot-path note: observability is pre-bound at construction (the simulator's
-session never flips after ``__init__``), so the per-job cost of disabled
+run configuration never flips after ``__init__``), so the per-job cost of disabled
 tracing/metrics is one ``is not None`` check rather than chained attribute
 loads and registry lookups.  The queue-depth series instrument is likewise
 resolved once instead of re-keyed on every submit.

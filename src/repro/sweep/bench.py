@@ -171,12 +171,11 @@ def _sim_core_entry() -> dict:
 def _spans_overhead_entry() -> dict:
     """Traced vs untraced serving wall time: what an armed span collector
     costs.  One small ring serving run executes twice — identical config,
-    with and without an ambient :class:`SpanCollector` — and the entry
+    with and without an armed :class:`SpanCollector` — and the entry
     carries both rates so the trajectory can watch the overhead drift.
     The simulations are byte-identical (the tracing identity gate), so
     ``sim_events`` is the same count on both sides by construction.
     """
-    from repro.obs.spans import SpanCollector, collecting
     from repro.serve.service import ServeConfig, serve
 
     config = ServeConfig(machine="ring", rate_qps=40.0, duration_ms=800.0, scale=0.05)
@@ -186,7 +185,7 @@ def _spans_overhead_entry() -> dict:
     untraced_wall = time.perf_counter() - start
 
     start = time.perf_counter()
-    with collecting(SpanCollector()):
+    with obs.configured(spans=obs.SpanCollector()):
         serve(config)
     traced_wall = time.perf_counter() - start
 
@@ -281,11 +280,12 @@ def run_bench(
         if workers is not None:
             kwargs["workers"] = workers
         used_scale = kwargs.get("scale")
-        with obs.observe(trace=False, metrics=True) as session:
+        registry = obs.MetricsRegistry()
+        with obs.configured(metrics=registry):
             start = time.perf_counter()
             result = case.run(**kwargs)
             wall = time.perf_counter() - start
-        events = int(session.metrics.value("sim.events"))
+        events = int(registry.value("sim.events"))
         entries.append(
             {
                 "experiment": case.name,

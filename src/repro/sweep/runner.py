@@ -15,14 +15,18 @@ returning a picklable value (plain dicts of numbers, in practice).
 ``workers`` processes — and returns per-point results **in point order**,
 so parallel output is byte-identical to serial output.
 
-Observability: a sweep may run under an ambient :mod:`repro.obs` session
-(``repro metrics figure_3_1 --workers 8``).  Worker processes cannot
-record into the parent's registry, so each worker captures a fresh local
-registry per point and ships a full-fidelity dump back; the parent merges
-the dumps in point order, relabeling each worker's locally numbered
-``run`` ids to exactly the ids serial execution would have assigned, and
-advances the global run-id counter past them.  Tracing (a single global
-event timeline) falls back to serial execution.
+Run configuration: a sweep runs under the ambient :class:`repro.obs.RunConfig`
+(``repro metrics figure_3_1 --workers 8``, ``repro run ... --sanitize``).
+Each point ships the picklable part of it — sanitize mode, the fault
+plan, and whether to capture metrics — to its worker explicitly, so
+workers run in the parent's mode under any start method (fork or
+spawn).  Worker processes cannot record into the parent's registry, so
+each worker captures a fresh local registry per point and ships a
+full-fidelity dump back; the parent merges the dumps in point order,
+relabeling each worker's locally numbered ``run`` ids to exactly the ids
+serial execution would have assigned, and advances the global run-id
+counter past them.  Tracing and span collection (single global
+timelines) fall back to serial execution.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.errors import SimulationError
+from repro.faults.plan import FaultPlan
 
 
 def effective_workers(workers: Optional[int], points: int) -> int:
@@ -58,30 +63,34 @@ def _pool_context():
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def _run_point(fn: Callable, kwargs: Dict, capture_metrics: bool):
+def _run_point(
+    fn: Callable,
+    kwargs: Dict,
+    capture_metrics: bool,
+    sanitize: bool,
+    faults: Optional[FaultPlan],
+):
     """Execute one sweep point inside a worker process.
 
-    Installs a fresh observability session (metrics-only, mirroring the
-    parent's request) and resets the run-id counter to 1, so a point's
-    metric labels depend only on the point itself — never on which worker
-    ran it or what ran there before.  Returns ``(value, registry dump or
-    None, run ids consumed)``.
+    Runs under the parent's sanitize mode and fault plan with a fresh
+    metrics registry (or none, mirroring the parent's request), and
+    resets the run-id counter to 1, so a point's metric labels depend
+    only on the point itself — never on which worker ran it or what ran
+    there before.  Returns ``(value, registry dump or None, run ids
+    consumed)``.
     """
     obs.set_next_run_id(1)
     # capture_tally_samples: the parent replays raw tally observations in
     # point order, keeping merged statistics bit-identical to a serial run.
-    session = obs.ObsSession(
-        metrics=obs.MetricsRegistry(capture_tally_samples=True)
+    metrics = (
+        obs.MetricsRegistry(capture_tally_samples=True)
         if capture_metrics
         else obs.NULL_REGISTRY
     )
-    previous = obs.install(session)
-    try:
+    with obs.configured(metrics=metrics, sanitize=sanitize, faults=faults):
         value = fn(**kwargs)
-    finally:
-        obs.install(previous)
     consumed = obs.peek_run_id() - 1
-    dump = session.metrics.dump() if capture_metrics else None
+    dump = metrics.dump() if capture_metrics else None
     return value, dump, consumed
 
 
@@ -92,34 +101,36 @@ def map_points(
 ) -> List:
     """Run ``fn(**point)`` for every point; results come back in point order.
 
-    Serial (``workers`` in (None, 1), a single point, an ambient tracing
-    session, or an armed span collector) calls ``fn`` inline under the
-    ambient observability session — exactly the pre-sweep behaviour.
-    Parallel fans the points out over a process pool and
-    deterministically merges each worker's metrics dump back into the
-    ambient registry (see the module docstring), so the two modes are
-    interchangeable.  Tracing and span collection are single global
-    timelines a worker process cannot write into, hence the fallback.
+    Serial (``workers`` in (None, 1), a single point, an armed tracer,
+    or an armed span collector) calls ``fn`` inline under the ambient
+    run configuration — exactly the pre-sweep behaviour.  Parallel fans
+    the points out over a process pool, passing each the config's
+    sanitize mode and fault plan, and deterministically merges each
+    worker's metrics dump back into the ambient registry (see the module
+    docstring), so the two modes are interchangeable.  Tracing and span
+    collection are single global timelines a worker process cannot write
+    into, hence the fallback.
     """
-    from repro.obs.spans import active_collector
-
     points = list(points)
-    session = obs.ambient()
+    config = obs.current()
     n_workers = effective_workers(workers, len(points))
     if (
         n_workers <= 1
         or len(points) <= 1
-        or session.tracer.enabled
-        or active_collector() is not None
+        or config.tracer.enabled
+        or config.spans is not None
     ):
         return [fn(**point) for point in points]
 
-    capture_metrics = session.metrics.enabled
+    capture_metrics = config.metrics.enabled
     with ProcessPoolExecutor(
         max_workers=n_workers, mp_context=_pool_context()
     ) as pool:
         futures = [
-            pool.submit(_run_point, fn, point, capture_metrics) for point in points
+            pool.submit(
+                _run_point, fn, point, capture_metrics, config.sanitize, config.faults
+            )
+            for point in points
         ]
         outcomes = [future.result() for future in futures]
 
@@ -127,7 +138,7 @@ def map_points(
     offset = obs.peek_run_id() - 1 if capture_metrics else 0
     for value, dump, consumed in outcomes:
         if capture_metrics and dump is not None:
-            session.metrics.merge(dump, run_offset=offset)
+            config.metrics.merge(dump, run_offset=offset)
             offset += consumed
         values.append(value)
     if capture_metrics:

@@ -19,8 +19,9 @@ from repro.check.flow import (
 from repro.check.flow.callgraph import CallGraph
 from repro.check.lint import lint_source, self_test
 from repro.check.render import render, render_github, render_sarif
-from repro.check.sanitizer import LockOrderWitness, active_witness, sanitizing
+from repro.check.sanitizer import LockOrderWitness
 from repro.errors import SanitizerError
+from repro.obs import configured
 from repro.ring.concurrency import LockManager, LockRequest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -266,15 +267,16 @@ def test_r008_silent_on_immutable_defaults():
 
 
 def test_r009_fires_outside_with():
-    assert "R009" in rules_in("def f():\n    ctx = sanitizing()\n    return ctx\n")
+    assert "R009" in rules_in("def f():\n    ctx = configured(sanitize=True)\n    return ctx\n")
+    assert "R009" in rules_in("def f(obs):\n    obs.configured().__enter__()\n")
 
 
 def test_r009_allows_with_and_enter_context():
     ok = (
         "def f(stack):\n"
-        "    with sanitizing():\n"
+        "    with configured(sanitize=True):\n"
         "        pass\n"
-        "    stack.enter_context(injecting(None))\n"
+        "    stack.enter_context(obs.configured(faults=None))\n"
     )
     assert "R009" not in rules_in(ok)
 
@@ -385,32 +387,55 @@ def test_witness_two_query_interleaved_inversion():
     assert "q1 acquires orders" in message
 
 
-def test_lock_manager_feeds_the_ambient_witness():
-    with sanitizing():
-        witness = active_witness()
-        assert witness is not None
-        manager = LockManager()
-        granted = manager.try_acquire(
-            LockRequest("q1", frozenset({"r1", "r2"}), frozenset({"r3"}))
-        )
-        assert granted
-        assert witness.acquisitions == 3
-        manager.release("q1")
-        assert witness._held == {}
-    assert active_witness() is None
+def test_lock_manager_feeds_its_bound_witness():
+    witness = LockOrderWitness()
+    manager = LockManager(witness=witness)
+    granted = manager.try_acquire(
+        LockRequest("q1", frozenset({"r1", "r2"}), frozenset({"r3"}))
+    )
+    assert granted
+    assert witness.acquisitions == 3
+    assert manager.try_upgrade("q1", "r1")
+    assert witness.acquisitions == 4
+    manager.release("q1")
+    assert witness._held == {}
 
 
 def test_sorted_all_at_once_grants_never_trip_the_witness():
-    with sanitizing():
-        manager = LockManager()
-        # Overlapping lock sets granted sequentially; sorted acquisition
-        # order inside try_acquire keeps every pair consistent.
-        manager.try_acquire(LockRequest("q1", frozenset({"a", "b", "c"}), frozenset()))
-        manager.release("q1")
-        manager.try_acquire(LockRequest("q2", frozenset({"c", "a"}), frozenset({"b"})))
-        manager.release("q2")
-        manager.try_acquire(LockRequest("q3", frozenset(), frozenset({"b", "a"})))
-        manager.release("q3")
+    witness = LockOrderWitness()
+    manager = LockManager(witness=witness)
+    # Overlapping lock sets granted sequentially; sorted acquisition
+    # order inside try_acquire keeps every pair consistent.
+    manager.try_acquire(LockRequest("q1", frozenset({"a", "b", "c"}), frozenset()))
+    manager.release("q1")
+    manager.try_acquire(LockRequest("q2", frozenset({"c", "a"}), frozenset({"b"})))
+    manager.release("q2")
+    manager.try_acquire(LockRequest("q3", frozenset(), frozenset({"b", "a"})))
+    manager.release("q3")
+    assert witness.acquisitions == 8
+
+
+def test_sanitized_machine_binds_its_witness_for_a_run_after_the_block():
+    # The witness binds at construction like every other run mode, so a
+    # machine built in sanitize mode and run after the block still has
+    # every lock grant checked.
+    from repro.ring.machine import RingMachine
+    from repro.workload import generate_benchmark_database
+    from repro.workload.updates import mixed_update_workload
+
+    db = generate_benchmark_database(scale=0.02, seed=8)
+    workload = mixed_update_workload(
+        db.catalog, db.relation_names, seed=8, count=6, write_fraction=1.0
+    )
+    with configured(sanitize=True):
+        machine = RingMachine(db.catalog, processors=4)
+    for tree in workload:
+        machine.submit(tree)
+    machine.run()
+    witness = machine.sim.sanitizer.witness
+    assert machine.mc.locks._witness is witness
+    assert witness.acquisitions >= len(workload)
+    assert RingMachine(db.catalog, processors=4).mc.locks._witness is None
 
 
 def test_zero_inversion_serving_run_is_byte_identical_to_unwitnessed():
@@ -426,6 +451,6 @@ def test_zero_inversion_serving_run_is_byte_identical_to_unwitnessed():
         processors=2,
     )
     plain = json.dumps(serve(config), sort_keys=True)
-    with sanitizing():
+    with configured(sanitize=True):
         witnessed = json.dumps(serve(config), sort_keys=True)
     assert witnessed == plain

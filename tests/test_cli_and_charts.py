@@ -101,6 +101,23 @@ class TestCli:
         # section_3_3 takes no --scale option.
         assert main(["run", "section_3_3", "--scale", "0.5"]) == 2
         assert "rejected options" in capsys.readouterr().out
+        assert main(["run", "packets", "--processors", "4"]) == 2
+        assert capsys.readouterr().out == (
+            "experiment 'packets' rejected options: run() got an unexpected "
+            "keyword argument 'processors'\n"
+        )
+
+    def test_type_error_inside_an_experiment_is_not_a_usage_error(self, monkeypatch):
+        # Options are checked against run()'s signature before the call,
+        # so an experiment's own TypeError surfaces instead of exiting 2.
+        from repro.experiments import packets_demo
+
+        def broken_run():
+            raise TypeError("bug inside the experiment")
+
+        monkeypatch.setattr(packets_demo, "run", broken_run)
+        with pytest.raises(TypeError, match="bug inside the experiment"):
+            main(["run", "packets"])
 
     def test_workload(self, capsys):
         assert main(["workload", "--scale", "0.05"]) == 0
@@ -141,6 +158,18 @@ class TestCli:
             ),
             pytest.param(
                 ["recover", "--torn-rate", "nan"], "--torn-rate: must be in [0, 1]", id="torn-rate"
+            ),
+            pytest.param(
+                ["run", "figure_3_1", "--scale", "0"], "--scale: must be > 0", id="run-scale"
+            ),
+            pytest.param(["workload", "--scale", "0"], "--scale: must be > 0", id="workload-scale"),
+            pytest.param(
+                ["run", "figure_3_1", "--workers", "-1"], "--workers: must be >= 0", id="workers"
+            ),
+            pytest.param(
+                ["check", "--tracing-identity", "--experiments", "nosuch"],
+                "--experiments: unknown experiment name(s) nosuch",
+                id="identity-experiments",
             ),
         ],
     )

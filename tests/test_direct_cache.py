@@ -278,9 +278,9 @@ def test_write_during_fill_does_not_leak_a_reservation():
 
 
 def test_write_during_fill_passes_sanitizer_accounting():
-    from repro.check import sanitizing
+    from repro.obs import configured
 
-    with sanitizing():
+    with configured(sanitize=True):
         sim, meter, cache = make_cache(frames=4)
         ref = make_ref("base:r:0")
         cache.read_shared(ref, lambda: None)

@@ -9,7 +9,8 @@ fresh controller.  Every recovery must reproduce the oracle exactly.
 import pytest
 
 from repro.errors import FaultError
-from repro.faults import FaultPlan, FaultSpec, injecting
+from repro.faults import FaultPlan, FaultSpec
+from repro.obs import configured
 from repro.relational.catalog import Catalog
 from repro.relational.predicate import attr
 from repro.relational.relation import Relation
@@ -50,7 +51,7 @@ def build_machine(catalog, plan, processors=6, fault_tolerant=True, **kwargs):
     defaults.update(kwargs)
     if plan is None:
         return RingMachine(catalog, processors=processors, **defaults)
-    with injecting(plan):
+    with configured(faults=plan):
         return RingMachine(catalog, processors=processors, **defaults)
 
 

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import obs
 from repro.errors import FaultError
-from repro.faults import FAULT_KINDS, FaultPlan, FaultSpec, active_plan, injecting
+from repro.faults import FAULT_KINDS, FaultPlan, FaultSpec
+from repro.obs import RunConfig
 from repro.sim.engine import Simulator
 
 
@@ -104,38 +106,38 @@ class TestFaultPlan:
 class TestAmbientArming:
     def test_injecting_sets_and_restores(self):
         plan = FaultPlan(seed=1, specs=(FaultSpec(kind="ring_drop", rate=0.1),))
-        assert active_plan() is None
-        with injecting(plan) as armed:
-            assert armed is plan
-            assert active_plan() is plan
-        assert active_plan() is None
+        assert obs.current().faults is None
+        with obs.configured(faults=plan) as armed:
+            assert armed.faults is plan
+            assert obs.current().faults is plan
+        assert obs.current().faults is None
 
     def test_nested_contexts_restore_outer(self):
         outer = FaultPlan(seed=1, specs=(FaultSpec(kind="ring_drop", rate=0.1),))
         inner = FaultPlan(seed=2, specs=(FaultSpec(kind="cache_poison", rate=0.2),))
-        with injecting(outer):
-            with injecting(inner):
-                assert active_plan() is inner
-            assert active_plan() is outer
+        with obs.configured(faults=outer):
+            with obs.configured(faults=inner):
+                assert obs.current().faults is inner
+            assert obs.current().faults is outer
 
     def test_simulator_binds_armed_plan(self):
         plan = FaultPlan(seed=1, specs=(FaultSpec(kind="ring_drop", rate=0.1),))
-        with injecting(plan):
+        with obs.configured(faults=plan):
             sim = Simulator()
         assert sim.faults is not None
         assert sim.faults.plan is plan
 
     def test_simulator_skips_unarmed_plan(self):
         plan = FaultPlan(seed=1, specs=(FaultSpec(kind="ring_drop", rate=0.0),))
-        with injecting(plan):
+        with obs.configured(faults=plan):
             sim = Simulator()
         assert sim.faults is None
 
     def test_explicit_plan_overrides_ambient(self):
         ambient = FaultPlan(seed=1, specs=(FaultSpec(kind="ring_drop", rate=0.1),))
         explicit = FaultPlan(seed=2, specs=(FaultSpec(kind="cache_poison", rate=0.3),))
-        with injecting(ambient):
-            sim = Simulator(faults=explicit)
+        with obs.configured(faults=ambient):
+            sim = Simulator(RunConfig(faults=explicit))
         assert sim.faults.plan is explicit
 
 
@@ -144,7 +146,7 @@ class TestInjectorDraws:
         plan = FaultPlan(seed=9, specs=(FaultSpec(kind="ring_drop", rate=0.5),))
         draws = []
         for _ in range(2):
-            sim = Simulator(faults=plan)
+            sim = Simulator(RunConfig(faults=plan))
             draws.append(
                 [sim.faults.decide("ring_drop", "outer-ring", 0.5) for _ in range(64)]
             )
@@ -153,16 +155,16 @@ class TestInjectorDraws:
 
     def test_zero_rate_never_strikes_and_consumes_nothing(self):
         plan = FaultPlan(seed=9, specs=(FaultSpec(kind="ring_drop", rate=0.5),))
-        sim = Simulator(faults=plan)
+        sim = Simulator(RunConfig(faults=plan))
         before = [sim.faults.decide("ring_drop", "a", 0.5) for _ in range(8)]
-        sim2 = Simulator(faults=plan)
+        sim2 = Simulator(RunConfig(faults=plan))
         assert not any(sim2.faults.decide("ring_drop", "a", 0.0) for _ in range(100))
         after = [sim2.faults.decide("ring_drop", "a", 0.5) for _ in range(8)]
         assert before == after
 
     def test_counters_and_snapshot(self):
         plan = FaultPlan(seed=9, specs=(FaultSpec(kind="ring_drop", rate=0.5),))
-        sim = Simulator(faults=plan)
+        sim = Simulator(RunConfig(faults=plan))
         sim.faults.count("ring.drop", "outer-ring")
         sim.faults.count("ring.drop", "outer-ring")
         sim.faults.count("ring.nak", "inner-ring")

@@ -8,7 +8,8 @@ Section 4 protocol's messages.
 import pytest
 
 from repro.errors import PacketError, RetryExhaustedError
-from repro.faults import FaultPlan, FaultSpec, injecting
+from repro.faults import FaultPlan, FaultSpec
+from repro.obs import configured
 from repro.relational.catalog import Catalog
 from repro.relational.predicate import attr
 from repro.relational.relation import Relation
@@ -24,7 +25,6 @@ from repro.ring.packets import (
     SourceOperand,
     flip_byte,
 )
-from repro.check.sanitizer import sanitizing
 
 SCHEMA = Schema.build(("k", DataType.INT), ("g", DataType.INT))
 
@@ -55,7 +55,7 @@ def build_machine(catalog, plan=None, processors=6, **kwargs):
     defaults.update(kwargs)
     if plan is None:
         return RingMachine(catalog, processors=processors, **defaults)
-    with injecting(plan):
+    with configured(faults=plan):
         return RingMachine(catalog, processors=processors, **defaults)
 
 
@@ -144,7 +144,7 @@ class TestConservationAndDeterminism:
                 FaultSpec(kind="ring_corrupt", rate=0.05),
             ),
         )
-        with sanitizing():
+        with configured(sanitize=True):
             machine = build_machine(catalog, plan=plan)
             tree = join_tree()
             machine.submit(tree)

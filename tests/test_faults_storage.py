@@ -3,9 +3,9 @@ poisoned cache frames, both recovered from the mass-storage copy."""
 
 import pytest
 
-from repro.check.sanitizer import sanitizing
 from repro.errors import RetryExhaustedError
-from repro.faults import FaultPlan, FaultSpec, injecting
+from repro.faults import FaultPlan, FaultSpec
+from repro.obs import configured
 from repro.relational.catalog import Catalog
 from repro.relational.predicate import attr
 from repro.relational.relation import Relation
@@ -43,7 +43,7 @@ def build_machine(catalog, plan=None, **kwargs):
     defaults.update(kwargs)
     if plan is None:
         return DirectMachine(catalog, **defaults)
-    with injecting(plan):
+    with configured(faults=plan):
         return DirectMachine(catalog, **defaults)
 
 
@@ -111,7 +111,7 @@ class TestCachePoison:
                 FaultSpec(kind="cache_poison", rate=0.05),
             ),
         )
-        with sanitizing():
+        with configured(sanitize=True):
             machine = build_machine(catalog, plan=plan)
             tree = join_tree()
             machine.submit(tree)

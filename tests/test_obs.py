@@ -1,4 +1,4 @@
-"""The observability layer: tracer, metrics registry, ambient session,
+"""The observability layer: tracer, metrics registry, ambient run config,
 and the determinism guarantee (hooks observe, never schedule)."""
 
 import json
@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.obs import MetricsRegistry, ObsSession, Tracer, metric_key, parse_metric_key
+from repro.obs import MetricsRegistry, RunConfig, Tracer, metric_key, parse_metric_key
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
@@ -101,59 +101,68 @@ class TestMetricsRegistry:
 
 class TestAmbientSession:
     def test_default_ambient_is_disabled(self):
-        session = obs.ambient()
-        assert not session.enabled
+        config = obs.current()
+        assert config == RunConfig()
+        assert not config.tracer.enabled and not config.metrics.enabled
+        assert config.spans is None and not config.sanitize and config.faults is None
 
     def test_observe_installs_and_restores(self):
-        before = obs.ambient()
-        with obs.observe() as session:
-            assert obs.ambient() is session
-            assert session.tracer.enabled and session.metrics.enabled
-        assert obs.ambient() is before
+        before = obs.current()
+        with obs.configured(tracer=Tracer(), metrics=MetricsRegistry()) as config:
+            assert obs.current() is config
+            assert config.tracer.enabled and config.metrics.enabled
+        assert obs.current() is before
 
     def test_observe_axes_independent(self):
-        with obs.observe(trace=True, metrics=False) as session:
-            assert session.tracer.enabled and not session.metrics.enabled
-        with obs.observe(trace=False, metrics=True) as session:
-            assert not session.tracer.enabled and session.metrics.enabled
+        with obs.configured(tracer=Tracer()) as config:
+            assert config.tracer.enabled and not config.metrics.enabled
+            # A nested block changes only the fields it names.
+            with obs.configured(metrics=MetricsRegistry(), sanitize=True) as inner:
+                assert inner.tracer is config.tracer
+                assert inner.metrics.enabled and inner.sanitize
+            assert obs.current() is config
+        with obs.configured(metrics=MetricsRegistry()) as config:
+            assert not config.tracer.enabled and config.metrics.enabled
 
     def test_simulator_binds_session_at_construction(self):
-        with obs.observe() as session:
+        with obs.configured(tracer=Tracer(), metrics=MetricsRegistry()) as config:
             sim = Simulator()
-        assert sim.tracer is session.tracer
-        assert sim.metrics is session.metrics
+        assert sim.tracer is config.tracer
+        assert sim.metrics is config.metrics
         assert sim.run_id > 0
         assert Simulator().run_id == 0  # outside the block: disabled, unlabeled
 
     def test_explicit_arguments_beat_ambient(self):
         tracer = Tracer()
-        sim = Simulator(tracer=tracer)
+        with obs.configured(metrics=MetricsRegistry(), sanitize=True):
+            sim = Simulator(RunConfig(tracer=tracer))
         assert sim.tracer is tracer
-        assert sim.metrics is obs.ambient().metrics
+        assert not sim.metrics.enabled and sim.run_id == 0
+        assert sim.sanitizer is None
 
 
 class TestWiring:
     def test_simulator_events_traced_and_counted(self):
-        with obs.observe() as session:
+        with obs.configured(tracer=Tracer(), metrics=MetricsRegistry()) as config:
             sim = Simulator()
             sim.schedule(1.0, lambda: None, label="tick")
             sim.run()
-        assert session.tracer.event_count == 1
-        assert session.metrics.value("sim.events") == 1
+        assert config.tracer.event_count == 1
+        assert config.metrics.value("sim.events") == 1
 
     def test_resource_service_traced_with_queue_series(self):
-        with obs.observe() as session:
+        with obs.configured(tracer=Tracer(), metrics=MetricsRegistry()) as config:
             sim = Simulator()
             res = Resource(sim, "disk0")
             res.submit(3.0, nbytes=100)
             sim.run()
         spans = [
             e
-            for e in session.tracer.chrome_trace()["traceEvents"]
+            for e in config.tracer.chrome_trace()["traceEvents"]
             if e["ph"] == "X" and e["name"] == "disk0.service"
         ]
         assert spans and spans[0]["args"]["bytes"] == 100
-        report = session.metrics.report()
+        report = config.metrics.report()
         key = metric_key(
             "resource.queue_depth", {"resource": "disk0", "run": sim.run_id}
         )
@@ -167,10 +176,10 @@ class TestDeterminism:
         from repro.experiments import figure_3_1
 
         plain = figure_3_1.run(scale=0.05, selectivity=0.3, processors=(5,))
-        with obs.observe() as session:
+        with obs.configured(tracer=Tracer(), metrics=MetricsRegistry()) as config:
             observed = figure_3_1.run(scale=0.05, selectivity=0.3, processors=(5,))
         assert observed.rows == plain.rows
-        assert session.tracer.event_count > 0
+        assert config.tracer.event_count > 0
         # And a second uninstrumented run is identical again.
         again = figure_3_1.run(scale=0.05, selectivity=0.3, processors=(5,))
         assert again.rows == plain.rows
@@ -178,8 +187,8 @@ class TestDeterminism:
     def test_null_instruments_are_shared(self):
         assert Tracer(enabled=False).event_count == 0
         assert NULL_TRACER.event_count == 0
-        session = ObsSession()
-        assert not session.enabled
+        config = RunConfig()
+        assert config.tracer is NULL_TRACER and not config.metrics.enabled
 
 
 class TestStreamingTracer:

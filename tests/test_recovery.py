@@ -11,6 +11,7 @@ from mutating pages outside a logged transaction.
 import pytest
 
 from repro.errors import RecoveryError, SanitizerError
+from repro.obs import RunConfig
 from repro.recovery import (
     KIND_ABORT,
     KIND_BEGIN,
@@ -255,7 +256,7 @@ class TestWalSanitizer:
         assert tm.sanitize_violations() == []
 
     def test_registered_check_raises_through_simulator(self, pair_schema):
-        sim = Simulator(sanitize=True)
+        sim = Simulator(RunConfig(sanitize=True))
         store = seeded_store(pair_schema, base_rows())
         tm = TransactionManager(store, PAGE_BYTES)
         tm.register_sanitizer(sim)

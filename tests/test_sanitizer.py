@@ -9,7 +9,7 @@ when off.
 import pytest
 
 from repro import hw
-from repro.check import is_active, sanitizing
+from repro import obs
 from repro.check.sanitizer import Sanitizer
 from repro.direct.cache import DiskCache, PageRef
 from repro.direct.exec_model import ExecModel
@@ -25,7 +25,7 @@ SCHEMA = Schema.build(("k", DataType.INT))
 
 
 def sanitized_sim():
-    return Simulator(sanitize=True)
+    return Simulator(obs.RunConfig(sanitize=True))
 
 
 # ---------------------------------------------------------------------- modes
@@ -40,11 +40,11 @@ def test_explicit_flag_enables():
 
 
 def test_ambient_context_enables():
-    assert not is_active()
-    with sanitizing():
-        assert is_active()
+    assert not obs.current().sanitize
+    with obs.configured(sanitize=True):
+        assert obs.current().sanitize
         assert Simulator().sanitizer is not None
-    assert not is_active()
+    assert not obs.current().sanitize
     assert Simulator().sanitizer is None
 
 
@@ -282,7 +282,7 @@ def test_sanitized_run_matches_unsanitized_results():
     from repro.experiments import figure_3_1
 
     plain = figure_3_1.run(processors=(2,), scale=0.05, selectivity=0.3)
-    with sanitizing():
+    with obs.configured(sanitize=True):
         checked = figure_3_1.run(processors=(2,), scale=0.05, selectivity=0.3)
     assert checked.rows == plain.rows
 

@@ -20,7 +20,8 @@ import json
 import pytest
 
 from repro.obs.critical_path import BUCKETS, attribute_query, explain
-from repro.obs.spans import SpanCollector, active_collector, collecting
+from repro import obs
+from repro.obs.spans import SpanCollector
 from repro.obs.timeseries import (
     build_tsdb,
     spans_chrome_trace,
@@ -84,13 +85,15 @@ class TestSpanCollector:
         assert collector.completed == []
 
     def test_collecting_installs_and_restores(self):
-        assert active_collector() is None
-        with collecting() as collector:
-            assert active_collector() is collector
-            with collecting(SpanCollector()) as inner:
-                assert active_collector() is inner
-            assert active_collector() is collector
-        assert active_collector() is None
+        assert obs.current().spans is None
+        collector = SpanCollector()
+        with obs.configured(spans=collector):
+            assert obs.current().spans is collector
+            inner = SpanCollector()
+            with obs.configured(spans=inner):
+                assert obs.current().spans is inner
+            assert obs.current().spans is collector
+        assert obs.current().spans is None
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -164,7 +167,7 @@ class TestExplainServing:
     @pytest.fixture(scope="class")
     def traced(self):
         collector = SpanCollector()
-        with collecting(collector):
+        with obs.configured(spans=collector):
             slo = serve(ServeConfig(machine="ring", **QUICK))
         return collector, slo
 
@@ -271,7 +274,7 @@ def test_armed_collector_forces_map_points_serial_fallback():
     _SPAN_CALLS.clear()
     serial = map_points(_record_inline_spans, [dict(x=1), dict(x=2)])
     _SPAN_CALLS.clear()
-    with collecting():
+    with obs.configured(spans=SpanCollector()):
         parallel = map_points(
             _record_inline_spans, [dict(x=1), dict(x=2)], workers=2
         )

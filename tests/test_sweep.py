@@ -3,12 +3,19 @@
 The headline guarantee under test: ``map_points(..., workers=N)`` for any
 N produces byte-identical experiment output *and* byte-identical ambient
 metrics to the serial run, including the ``run`` labels and the global
-run-id counter's final position.
+run-id counter's final position.  Workers run under the parent's sanitize
+mode and fault plan whatever the process start method.
 """
+
+import multiprocessing
+import os
 
 import pytest
 
 from repro import obs
+from repro.faults import FaultPlan, FaultSpec
+from repro.sim.engine import Simulator
+from repro.sweep import runner
 from repro.errors import SimulationError
 from repro.sweep import effective_workers, map_points
 
@@ -68,10 +75,32 @@ def test_tracing_forces_serial_fallback():
     # an ambient tracer makes map_points run inline (side effects land in
     # this process) even when workers > 1.
     _INLINE_CALLS.clear()
-    with obs.observe(trace=True, metrics=False):
+    with obs.configured(tracer=obs.Tracer()):
         out = map_points(_record_inline, [dict(x=1), dict(x=2)], workers=2)
     assert out == [1, 2]
     assert _INLINE_CALLS == [1, 2]
+
+
+def _bound_modes(point):
+    """Which run modes a worker's Simulator binds, and where it ran."""
+    sim = Simulator()
+    return sim.sanitizer is not None, sim.faults is not None, os.getpid()
+
+
+def test_spawn_workers_see_the_parent_run_config(monkeypatch):
+    # Spawned workers inherit no parent memory, so the config must reach
+    # them as arguments (spawn is the default start method off Linux).
+    monkeypatch.setattr(
+        runner, "_pool_context", lambda: multiprocessing.get_context("spawn")
+    )
+    plan = FaultPlan(seed=1, specs=(FaultSpec(kind="ring_drop", rate=0.1),))
+    with obs.configured(sanitize=True, faults=plan):
+        out = map_points(_bound_modes, [dict(point=1), dict(point=2)], workers=2)
+    assert [(sanitized, faulted) for sanitized, faulted, _pid in out] == [
+        (True, True),
+        (True, True),
+    ]
+    assert all(pid != os.getpid() for _s, _f, pid in out)
 
 
 # -- deterministic metrics merge -------------------------------------------
@@ -79,24 +108,24 @@ def test_tracing_forces_serial_fallback():
 
 def _obs_point(value):
     """A cheap instrumented point: consumes a run id, records everything."""
-    session = obs.ambient()
+    metrics = obs.current().metrics
     run = obs.next_run_id()
-    session.metrics.counter("point.calls").add()
-    session.metrics.counter("point.bytes", run=run).add(100 * value)
-    tally = session.metrics.tally("point.value")
+    metrics.counter("point.calls").add()
+    metrics.counter("point.bytes", run=run).add(100 * value)
+    tally = metrics.tally("point.value")
     tally.observe(float(value))
     tally.observe(float(value) / 3.0)  # non-trivial float, order-sensitive
-    session.metrics.set_gauge("point.last", value, run=run)
-    session.metrics.series("point.depth", run=run).record(0.0, value)
+    metrics.set_gauge("point.last", value, run=run)
+    metrics.series("point.depth", run=run).record(0.0, value)
     return value * 2
 
 
 def _run_obs_sweep(workers):
     obs.set_next_run_id(1)
     points = [dict(value=v) for v in (3, 1, 4, 1, 5)]
-    with obs.observe(trace=False, metrics=True) as session:
+    with obs.configured(metrics=obs.MetricsRegistry()) as config:
         values = map_points(_obs_point, points, workers=workers)
-    return values, session.metrics.report(), obs.peek_run_id()
+    return values, config.metrics.report(), obs.peek_run_id()
 
 
 def test_parallel_metrics_merge_matches_serial():
@@ -126,12 +155,12 @@ def test_figure_3_1_parallel_byte_identical_to_serial():
     from repro.experiments import figure_3_1
 
     obs.set_next_run_id(1)
-    with obs.observe(trace=False, metrics=True) as s_serial:
+    with obs.configured(metrics=obs.MetricsRegistry()) as s_serial:
         serial = figure_3_1.run(processors=(2,), workers=1, **SMALL)
     serial_next = obs.peek_run_id()
 
     obs.set_next_run_id(1)
-    with obs.observe(trace=False, metrics=True) as s_par:
+    with obs.configured(metrics=obs.MetricsRegistry()) as s_par:
         parallel = figure_3_1.run(processors=(2,), workers=2, **SMALL)
     parallel_next = obs.peek_run_id()
 
