@@ -1,10 +1,10 @@
 """Benchmarks of the sweep harness itself.
 
 Times the serial and parallel (2-worker) executions of a small Figure 3.1
-grid, plus the bare event-loop throughput the ``repro bench`` sim_core
-entry reports.  On a multi-core host the parallel run should approach the
-serial time divided by the worker count; on a single-CPU host it mostly
-measures fan-out overhead, so the benchmarks assert correctness (identical
+grid, plus the bare event-loop throughput of a no-op schedule/fire loop.
+On a multi-core host the parallel run should approach the serial time
+divided by the worker count; on a single-CPU host it mostly measures
+fan-out overhead, so the benchmarks assert correctness (identical
 output), not speedup.
 """
 

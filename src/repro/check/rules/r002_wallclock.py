@@ -2,9 +2,7 @@
 
 Simulated time is ``sim.now``; a ``time.time()`` or ``datetime.now()``
 inside the engine, machines, or packet paths couples results to the host
-machine's speed and breaks run-to-run identity.  The bench harness
-(``repro/sweep/bench.py``) is the one module whose whole job is
-wall-clock measurement, so it is allowlisted.
+machine's speed and breaks run-to-run identity.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from repro.check.rules.base import (
 )
 
 _SCOPE = SIMULATION_PACKAGES + ("repro/sweep/",)
-_ALLOWLIST = frozenset({"repro/sweep/bench.py"})
 
 _TIME_CALLS = frozenset(
     {"time", "time_ns", "monotonic", "monotonic_ns", "perf_counter", "perf_counter_ns"}
@@ -33,8 +30,6 @@ class WallClockRule(Rule):
     rule_id = "R002"
 
     def applies_to(self, module: str) -> bool:
-        if module in _ALLOWLIST:
-            return False
         return in_packages(module, _SCOPE)
 
     def check(self, tree: ast.AST) -> Iterator[Violation]:

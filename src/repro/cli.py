@@ -6,10 +6,6 @@ Commands:
 * ``run <experiment> [...]``  — regenerate one paper artifact (table + chart)
 * ``trace <experiment>``      — run instrumented; write a Chrome/Perfetto trace
 * ``metrics <experiment>``    — run instrumented; emit a JSON metrics report
-* ``bench``                   — time the sweep experiments; append an entry
-                                to the BENCH_sweeps.json perf trajectory;
-                                ``--gate`` fails on >20% events/sec drops
-* ``bench-info``              — how to run the benchmark suite
 * ``workload``                — describe the Section 3.2 benchmark database
 * ``faults [...]``            — run the benchmark under a seeded fault plan
                                 (``repro.faults``); JSON report, exit 1 on
@@ -58,7 +54,6 @@ Examples::
     python -m repro run figure_4_2 --ips 5,25,50 --workers 4
     python -m repro trace figure_3_1 --scale 0.1 --processors 5
     python -m repro metrics ring_vs_direct --scale 0.1
-    python -m repro bench --quick
     python -m repro workload --scale 0.1
     python -m repro serve --machine ring --arrivals poisson --rate 50 --seed 7
     python -m repro run serving --workers 4
@@ -119,13 +114,16 @@ _EXPERIMENTS: Dict[str, tuple] = {
 }
 
 
-def _int_list(text: str) -> List[int]:
-    return [int(part) for part in text.split(",") if part]
-
-
 # Argument types for values that would otherwise fail deep inside a run.
 # A bad value is a usage error: argparse exits 2 with a one-line message,
 # keeping exit 1 for oracle and gate failures.
+
+
+def _int_list(text: str) -> List[int]:
+    values = [int(part) for part in text.split(",") if part]
+    if any(value <= 0 for value in values):
+        raise argparse.ArgumentTypeError(f"every entry must be > 0, got {text}")
+    return values
 
 
 def _positive_float(text: str) -> float:
@@ -142,6 +140,20 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _selectivity(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -155,26 +167,27 @@ def _existing_file(text: str) -> str:
     return text
 
 
-def _name_list(text: str, known: List[str], what: str) -> Optional[List[str]]:
+def _identity_names(text: str) -> Optional[List[str]]:
+    from repro.check.identity import QUICK_CONFIGS
+
     names = [part for part in text.split(",") if part]
-    unknown = [name for name in names if name not in known]
+    unknown = [name for name in names if name not in QUICK_CONFIGS]
     if unknown:
         raise argparse.ArgumentTypeError(
-            f"unknown {what} name(s) {', '.join(unknown)} (choose from {', '.join(known)})"
+            f"unknown experiment name(s) {', '.join(unknown)} "
+            f"(choose from {', '.join(QUICK_CONFIGS)})"
         )
     return names or None
 
 
-def _bench_names(text: str) -> Optional[List[str]]:
-    from repro.sweep.bench import known_names
-
-    return _name_list(text, known_names(), "bench")
-
-
-def _identity_names(text: str) -> Optional[List[str]]:
-    from repro.check.identity import QUICK_CONFIGS
-
-    return _name_list(text, list(QUICK_CONFIGS), "experiment")
+def _emit(text: str, out: Optional[str], what: str) -> None:
+    """Write ``text`` to the file ``out`` and say so, or print it."""
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+        print(f"wrote {what} to {out}")
+    else:
+        print(text)
 
 
 def _cmd_list(_args) -> int:
@@ -271,12 +284,7 @@ def _cmd_metrics(args) -> int:
     else:
         report = metrics_report(registry, experiment_id=args.experiment)
         text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote metrics report to {args.out}")
-    else:
-        print(text)
+    _emit(text, args.out, "metrics report")
     return 0
 
 
@@ -293,39 +301,6 @@ def _cmd_workload(args) -> int:
     for tree in trees:
         print(f"  {tree.name}: {tree.join_count} joins, {tree.restrict_count} restricts, "
               f"relations {tree.leaf_relations()}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    from repro.sweep import bench
-
-    report = bench.run_bench(
-        quick=args.quick, scale=args.scale, workers=args.workers, only=args.only
-    )
-    totals = report["totals"]
-    for entry in report["experiments"]:
-        print(
-            f"  {entry['experiment']:<20} {entry['wall_s']:>8.2f}s  "
-            f"{entry['sim_events']:>10} events  {entry['events_per_sec']:>9} ev/s"
-        )
-    if args.gate:
-        previous = bench.load_history(args.out)["entries"]
-        if previous:
-            failures = bench.compare_entries(previous[-1], report)
-            if failures:
-                print(f"\nperf gate FAILED vs last entry in {args.out}:")
-                for failure in failures:
-                    print(f"  {failure}")
-                return 1
-            print(f"\nperf gate OK vs last entry in {args.out}")
-        else:
-            print(f"\nperf gate: no history at {args.out}; nothing to compare")
-    history = bench.append_bench(report, args.out)
-    print(
-        f"\nappended entry {len(history['entries'])} to {args.out}: "
-        f"{totals['wall_s']:.2f}s total, {totals['sim_events']} events, "
-        f"{totals['events_per_sec']} ev/s"
-    )
     return 0
 
 
@@ -362,13 +337,7 @@ def _cmd_check(args) -> int:
         findings = findings + analyze_paths(args.paths)
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     fmt = "json" if args.as_json else args.format
-    text = render(findings, fmt)
-    if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {len(findings)} finding(s) as {fmt} to {args.report_out}")
-    else:
-        print(text)
+    _emit(render(findings, fmt), args.report_out, f"{len(findings)} finding(s) as {fmt}")
     return 1 if findings else 0
 
 
@@ -415,13 +384,7 @@ def _cmd_faults(args) -> int:
         processors=args.processors,
     )
     payload = {"machine": args.machine, "plan": plan.to_dict(), **summary}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote fault report to {args.out}")
-    else:
-        print(text)
+    _emit(json.dumps(payload, indent=2, sort_keys=True), args.out, "fault report")
     return 0 if summary["all_correct"] else 1
 
 
@@ -458,13 +421,7 @@ def _cmd_recover(args) -> int:
         with open(oracle_path, "wb") as handle:
             handle.write(trial.oracle)
         print(f"wrote {recovered_path} and {oracle_path}")
-    text = json.dumps(trial.to_dict(), indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote recovery report to {args.out}")
-    else:
-        print(text)
+    _emit(json.dumps(trial.to_dict(), indent=2, sort_keys=True), args.out, "recovery report")
     return 0 if trial.ok else 1
 
 
@@ -499,13 +456,7 @@ def _cmd_serve(args) -> int:
     from repro.serve import serve
 
     slo = serve(_serve_config(args))
-    text = json.dumps(slo, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote SLO report to {args.out}")
-    else:
-        print(text)
+    _emit(json.dumps(slo, indent=2, sort_keys=True), args.out, "SLO report")
     return 0
 
 
@@ -532,18 +483,14 @@ def _cmd_explain_latency(args) -> int:
             }
         },
     )
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote latency attribution report to {args.out}")
-    else:
-        print(text)
+    _emit(json.dumps(report, indent=2, sort_keys=True), args.out, "latency attribution report")
     if args.tsdb_out:
         tsdb = build_tsdb(collector, end_ms=float(slo["elapsed_ms"]))
-        with open(args.tsdb_out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(tsdb, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {tsdb['windows']}-window time series to {args.tsdb_out}")
+        _emit(
+            json.dumps(tsdb, indent=2, sort_keys=True),
+            args.tsdb_out,
+            f"{tsdb['windows']}-window time series",
+        )
     if args.trace_out:
         trace = spans_chrome_trace(collector)
         with open(args.trace_out, "w", encoding="utf-8") as handle:
@@ -552,17 +499,6 @@ def _cmd_explain_latency(args) -> int:
             f"wrote {len(trace['traceEvents'])} span-trace events to "
             f"{args.trace_out} (load in https://ui.perfetto.dev)"
         )
-    return 0
-
-
-def _cmd_bench_info(_args) -> int:
-    print(
-        "benchmark suite (one per paper table/figure):\n\n"
-        "  pytest benchmarks/ --benchmark-only\n\n"
-        "options:\n"
-        "  REPRO_BENCH_SCALE=1.0   run at the paper's full 5.5 MB scale\n"
-        "  --benchmark-json=out.json   machine-readable results\n"
-    )
     return 0
 
 
@@ -586,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="database scale (1.0 = 5.5 MB)",
         )
         parser_.add_argument(
-            "--selectivity", type=float, default=None, help="restrict selectivity"
+            "--selectivity", type=_selectivity, default=None, help="restrict selectivity"
         )
         parser_.add_argument(
             "--processors", type=_int_list, default=None, help="e.g. 5,15,30"
@@ -641,37 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     workload = sub.add_parser("workload", help="describe the benchmark database")
     workload.add_argument("--scale", type=_positive_float, default=0.1)
     workload.add_argument("--seed", type=int, default=1979)
-
-    bench = sub.add_parser(
-        "bench", help="time the sweep experiments; write a BENCH JSON report"
-    )
-    bench.add_argument(
-        "--quick", action="store_true", help="small grids at scale 0.05 (CI smoke)"
-    )
-    bench.add_argument(
-        "--scale", type=_positive_float, default=None, help="override the workload scale"
-    )
-    bench.add_argument(
-        "--workers",
-        type=_non_negative_int,
-        default=None,
-        help="sweep worker processes (0 = one per CPU)",
-    )
-    bench.add_argument(
-        "--out", default="BENCH_sweeps.json", help="report path (JSON)"
-    )
-    bench.add_argument(
-        "--only",
-        type=_bench_names,
-        default=None,
-        help="comma-separated experiment subset (e.g. figure_3_1,sim_core)",
-    )
-    bench.add_argument(
-        "--gate",
-        action="store_true",
-        help="fail (exit 1, without appending) when any experiment's "
-        "events/sec drops >20%% below the last trajectory entry",
-    )
 
     check = sub.add_parser(
         "check", help="run the determinism linter over the sources"
@@ -731,32 +636,32 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--scale", type=_positive_float, default=0.05, help="database scale"
     )
-    faults.add_argument("--selectivity", type=float, default=0.3)
+    faults.add_argument("--selectivity", type=_selectivity, default=0.3)
     faults.add_argument("--seed", type=int, default=2027, help="plan + workload seed")
-    faults.add_argument("--processors", type=int, default=8)
-    faults.add_argument("--drop", type=float, default=0.0, help="ring packet drop rate")
+    faults.add_argument("--processors", type=_positive_int, default=8)
+    faults.add_argument("--drop", type=_fraction, default=0.0, help="ring packet drop rate")
     faults.add_argument(
-        "--corrupt", type=float, default=0.0, help="ring packet corruption rate"
+        "--corrupt", type=_fraction, default=0.0, help="ring packet corruption rate"
     )
     faults.add_argument(
         "--disk-error",
-        type=float,
+        type=_fraction,
         default=0.0,
         dest="disk_error",
         help="transient disk read-error rate",
     )
     faults.add_argument(
-        "--poison", type=float, default=0.0, help="cache frame poison rate"
+        "--poison", type=_fraction, default=0.0, help="cache frame poison rate"
     )
     faults.add_argument(
         "--ic-rate",
-        type=float,
+        type=_fraction,
         default=0.0,
         dest="ic_rate",
         help="per-activation IC failure rate (MC failover recovers)",
     )
     faults.add_argument(
-        "--kill", type=int, default=0, help="number of IPs to fail-stop mid-run"
+        "--kill", type=_non_negative_int, default=0, help="number of IPs to fail-stop mid-run"
     )
     faults.add_argument(
         "--kill-at",
@@ -803,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-page torn-write probability at the moment of the crash",
     )
     recover.add_argument(
-        "--tail-rate", type=float, default=0.5, dest="tail_rate",
+        "--tail-rate", type=_fraction, default=0.5, dest="tail_rate",
         help="probability the unforced log tail is truncated/corrupted",
     )
     recover.add_argument(
@@ -811,9 +716,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="earliest crash time in simulated ms",
     )
     recover.add_argument(
-        "--queries", type=int, default=12, help="length of the mixed stream"
+        "--queries", type=_positive_int, default=12, help="length of the mixed stream"
     )
-    recover.add_argument("--processors", type=int, default=4)
+    recover.add_argument("--processors", type=_positive_int, default=4)
     recover.add_argument(
         "--sanitize", action="store_true", help="run under the simulation sanitizer"
     )
@@ -840,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         parser_.add_argument(
             "--duration-ms",
-            type=float,
+            type=_positive_float,
             default=10_000.0,
             dest="duration_ms",
             help="arrival window in simulated ms (the run then drains)",
@@ -850,14 +755,14 @@ def build_parser() -> argparse.ArgumentParser:
             "--scale", type=_positive_float, default=0.05, help="database scale"
         )
         parser_.add_argument(
-            "--b-domain", type=int, default=100, dest="b_domain",
+            "--b-domain", type=_positive_int, default=100, dest="b_domain",
             help="join-attribute domain (small keeps joins non-empty at low scale)",
         )
-        parser_.add_argument("--selectivity", type=float, default=0.1)
+        parser_.add_argument("--selectivity", type=_selectivity, default=0.1)
         parser_.add_argument(
             "--page-bytes", type=int, default=2048, dest="page_bytes"
         )
-        parser_.add_argument("--processors", type=int, default=8)
+        parser_.add_argument("--processors", type=_positive_int, default=8)
         parser_.add_argument(
             "--zipf-s", type=float, default=0.8, dest="zipf_s",
             help="zipf skew of relation popularity and session activity",
@@ -867,19 +772,19 @@ def build_parser() -> argparse.ArgumentParser:
             help="open = fixed arrival schedule; closed = N users with think time",
         )
         parser_.add_argument(
-            "--users", type=int, default=1000,
+            "--users", type=_positive_int, default=1000,
             help="distinct sessions (open loop) or concurrent users (closed loop)",
         )
         parser_.add_argument(
-            "--think-ms", type=float, default=1000.0, dest="think_ms",
+            "--think-ms", type=_positive_float, default=1000.0, dest="think_ms",
             help="mean think time between a closed-loop user's queries",
         )
         parser_.add_argument(
-            "--max-inflight", type=int, default=8, dest="max_inflight",
+            "--max-inflight", type=_positive_int, default=8, dest="max_inflight",
             help="admission bound on concurrently running queries",
         )
         parser_.add_argument(
-            "--queue-limit", type=int, default=64, dest="queue_limit",
+            "--queue-limit", type=_non_negative_int, default=64, dest="queue_limit",
             help="admission queue depth; arrivals beyond it are shed",
         )
         parser_.add_argument(
@@ -913,11 +818,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_serving_options(explain)
     explain.add_argument(
-        "--window-ms", type=float, default=100.0, dest="window_ms",
+        "--window-ms", type=_positive_float, default=100.0, dest="window_ms",
         help="time-series fold window in simulated ms",
     )
     explain.add_argument(
-        "--top", type=int, default=10,
+        "--top", type=_non_negative_int, default=10,
         help="slowest queries to list with their critical paths",
     )
     explain.add_argument(
@@ -932,8 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out", default=None, dest="trace_out",
         help="also write a Chrome trace with per-span flow arrows here",
     )
-
-    sub.add_parser("bench-info", help="how to run the benchmark suite")
     return parser
 
 
@@ -947,13 +850,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": _cmd_trace,
         "metrics": _cmd_metrics,
         "workload": _cmd_workload,
-        "bench": _cmd_bench,
         "check": _cmd_check,
         "faults": _cmd_faults,
         "recover": _cmd_recover,
         "serve": _cmd_serve,
         "explain-latency": _cmd_explain_latency,
-        "bench-info": _cmd_bench_info,
     }
     if args.command is None:
         parser.print_help()

@@ -61,9 +61,8 @@ class SanitizerError(ReproError):
 class CheckError(ReproError):
     """A correctness-tooling gate was misconfigured or cannot run.
 
-    Raised by :mod:`repro.check.identity` for unknown experiments and by
-    :mod:`repro.sweep.bench` for an empty trajectory entry — distinct
-    from the gate *failing*, which is reported as data.
+    Raised by :mod:`repro.check.identity` for unknown experiments —
+    distinct from the gate *failing*, which is reported as data.
     """
 
 

@@ -117,17 +117,11 @@ def test_r002_flags_wall_clock_in_simulator_packages():
     assert rules_in("import time\nx = time.perf_counter()\n", SIM_PATH) == ["R002"]
     source = "from datetime import datetime\nx = datetime.now()\n"
     assert rules_in(source, "repro/direct/machine.py") == ["R002"]
+    assert rules_in("import time\nx = time.perf_counter()\n", "repro/sweep/runner.py") == ["R002"]
 
 
 def test_r002_out_of_scope_modules_are_free():
     assert rules_in("import time\nx = time.time()\n", "repro/analysis/report.py") == []
-
-
-def test_r002_bench_harness_is_allowlisted():
-    source = "import time\nstart = time.perf_counter()\n"
-    assert rules_in(source, "repro/sweep/bench.py") == []
-    # The rest of the sweep package is still in scope.
-    assert rules_in(source, "repro/sweep/runner.py") == ["R002"]
 
 
 # ---------------------------------------------------------------------- R003

@@ -124,10 +124,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "rel01" in out and "bench-q10" in out
 
-    def test_bench_info(self, capsys):
-        assert main(["bench-info"]) == 0
-        assert "pytest benchmarks/" in capsys.readouterr().out
-
     def test_parser_int_lists(self):
         parser = build_parser()
         args = parser.parse_args(["run", "figure_3_1", "--processors", "5,10,20"])
@@ -170,6 +166,71 @@ class TestCli:
                 ["check", "--tracing-identity", "--experiments", "nosuch"],
                 "--experiments: unknown experiment name(s) nosuch",
                 id="identity-experiments",
+            ),
+            pytest.param(
+                ["recover", "--tail-rate", "2"], "--tail-rate: must be in [0, 1]", id="tail-rate"
+            ),
+            pytest.param(["faults", "--drop", "2"], "--drop: must be in [0, 1]", id="drop"),
+            pytest.param(
+                ["faults", "--drop", "-0.5"], "--drop: must be in [0, 1]", id="drop-negative"
+            ),
+            pytest.param(
+                ["faults", "--corrupt", "2"], "--corrupt: must be in [0, 1]", id="corrupt"
+            ),
+            pytest.param(
+                ["faults", "--disk-error", "2"], "--disk-error: must be in [0, 1]", id="disk-error"
+            ),
+            pytest.param(["faults", "--poison", "2"], "--poison: must be in [0, 1]", id="poison"),
+            pytest.param(
+                ["faults", "--ic-rate", "2"], "--ic-rate: must be in [0, 1]", id="ic-rate"
+            ),
+            pytest.param(["faults", "--kill", "-1"], "--kill: must be >= 0", id="kill"),
+            pytest.param(
+                ["faults", "--processors", "0"], "--processors: must be > 0", id="faults-processors"
+            ),
+            pytest.param(
+                ["recover", "--processors", "0"],
+                "--processors: must be > 0",
+                id="recover-processors",
+            ),
+            pytest.param(
+                ["serve", "--processors", "0"], "--processors: must be > 0", id="serve-processors"
+            ),
+            pytest.param(["recover", "--queries", "0"], "--queries: must be > 0", id="queries"),
+            pytest.param(
+                ["serve", "--max-inflight", "0"], "--max-inflight: must be > 0", id="max-inflight"
+            ),
+            pytest.param(["serve", "--users", "0"], "--users: must be > 0", id="users"),
+            pytest.param(["serve", "--b-domain", "0"], "--b-domain: must be > 0", id="b-domain"),
+            pytest.param(
+                ["serve", "--queue-limit", "-1"], "--queue-limit: must be >= 0", id="queue-limit"
+            ),
+            pytest.param(
+                ["serve", "--duration-ms", "-5"], "--duration-ms: must be > 0", id="duration-ms"
+            ),
+            pytest.param(
+                ["serve", "--think-ms", "-1", "--loop", "closed"],
+                "--think-ms: must be > 0",
+                id="think-ms",
+            ),
+            pytest.param(
+                ["serve", "--selectivity", "0"],
+                "--selectivity: must be in (0, 1]",
+                id="serve-selectivity",
+            ),
+            pytest.param(
+                ["explain-latency", "--window-ms", "0"], "--window-ms: must be > 0", id="window-ms"
+            ),
+            pytest.param(["explain-latency", "--top", "-1"], "--top: must be >= 0", id="top"),
+            pytest.param(
+                ["run", "figure_3_1", "--processors", "0"],
+                "--processors: every entry must be > 0",
+                id="run-processors",
+            ),
+            pytest.param(
+                ["run", "figure_3_1", "--selectivity", "2"],
+                "--selectivity: must be in (0, 1]",
+                id="run-selectivity",
             ),
         ],
     )
