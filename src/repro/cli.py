@@ -859,6 +859,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return 0
+    # Checks across flags, made once: a bad combination is a usage error.
+    if args.command == "faults" and args.kill >= args.processors:
+        parser.error(
+            f"--kill {args.kill} must be below --processors {args.processors} "
+            "(the run needs a surviving IP)"
+        )
+    if args.command in ("serve", "explain-latency"):
+        from repro.errors import WorkloadError
+
+        try:
+            _serve_config(args).validate()
+        except WorkloadError as exc:
+            parser.error(str(exc))
     with obs.configured(sanitize=getattr(args, "sanitize", False)):
         return commands[args.command](args)
 

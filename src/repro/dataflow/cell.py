@@ -112,6 +112,9 @@ class Cell:
         #: O(1) cell -> query resolution (span attribution, result routing)
         #: instead of scanning every submitted program.
         self.tree_name = ""
+        #: Index in the machine's memory section, stamped at submit time;
+        #: the touched-cell pump visits cells in this order.
+        self.position = -1
         self.operands = [OperandSlot(name, schema) for name, schema in operand_schemas]
         #: Cells whose slot receives this cell's output: (cell, slot index).
         self.destinations: List[Tuple["Cell", int]] = []

@@ -20,6 +20,7 @@ the produced relations against the reference interpreter.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -92,6 +93,13 @@ class DataflowMachine:
         self._processor_count = processors
 
         self._programs: List[DataflowProgram] = []
+        #: The memory section in scan order (programs in submission
+        #: order, cells in program order); a cell's index is its position.
+        self._cells: List[Cell] = []
+        #: Min-heap of touched positions awaiting a visit by :meth:`_pump`;
+        #: ``_queued[position]`` keeps each position in it at most once.
+        self._touched: List[int] = []
+        self._queued: List[bool] = []
         self._assemblies: Dict[int, List[Row]] = {}
         self._results: Dict[str, List[Row]] = {}
         self._query_done_at: Dict[str, float] = {}
@@ -146,6 +154,10 @@ class DataflowMachine:
         for cell in program.cells:
             self._assemblies[cell.cell_id] = []
             cell.tree_name = tree.name
+            cell.position = len(self._cells)
+            self._cells.append(cell)
+            self._queued.append(False)
+            self._touch(cell)
         if self.sim.spans is not None:
             # Idempotent: the serve layer may have opened this record at
             # offer time.
@@ -237,15 +249,35 @@ class DataflowMachine:
 
     # ------------------------------------------------------------------ firing loop
 
+    def _touch(self, cell: Cell) -> None:
+        """Queue ``cell`` for a visit: its firing or completion state moved."""
+        position = cell.position
+        if not self._queued[position]:
+            self._queued[position] = True
+            heapq.heappush(self._touched, position)
+
     def _pump(self) -> None:
-        """Scan the memory section; enqueue every newly enabled firing."""
-        for program in self._programs:
-            for cell in program.cells:
-                if cell.done:
-                    continue  # can neither fire nor complete again
-                for unit in cell.ready_firings(self.granularity):
-                    self._launch(unit)
-                self._check_cell_completion(cell)
+        """Visit touched cells in memory order; enqueue every newly enabled firing.
+
+        A cell nobody touched since its last visit is quiescent (no
+        firings, completion check a no-op), so this launches exactly what
+        a full scan of the memory section would.  Touches made during a
+        pass land ahead of the cursor (a destination follows its source
+        in program order; new programs append), as the scan would see
+        them; one at or behind the cursor ends the pass and waits for the
+        next pump, as it would under the scan.
+        """
+        touched = self._touched
+        last = -1
+        while touched and touched[0] > last:
+            last = heapq.heappop(touched)
+            self._queued[last] = False
+            cell = self._cells[last]
+            if cell.done:
+                continue  # can neither fire nor complete again
+            for unit in cell.ready_firings(self.granularity):
+                self._launch(unit)
+            self._check_cell_completion(cell)
 
     def _launch(self, unit: FiringUnit) -> None:
         cell = unit.cell
@@ -254,7 +286,7 @@ class DataflowMachine:
         nbytes = self._packet_bytes(unit)
         self.arbitration_bytes += nbytes
 
-        query = self._tree_name_of(cell)
+        query = cell.tree_name
 
         def at_processor() -> None:
             cpu = self._cpu_ms(unit)
@@ -300,6 +332,7 @@ class DataflowMachine:
         cell = unit.cell
         rows = cell.execute(unit)
         cell.firings_outstanding -= 1
+        self._touch(cell)
         self._emit(cell, rows)
         # New results (or freed processors) may enable more firings.
         self._pump()
@@ -332,11 +365,13 @@ class DataflowMachine:
 
         def delivered() -> None:
             cell.firings_outstanding -= 1
+            self._touch(cell)
             if cell.destinations:
                 for destination, slot in cell.destinations:
                     destination.operands[slot].deliver(page)
+                    self._touch(destination)
             else:
-                tree_name = self._tree_name_of(cell)
+                tree_name = cell.tree_name
                 rows = list(page.rows())
                 self._results.setdefault(tree_name, []).extend(rows)
                 txn = self._write_txns.get(tree_name)
@@ -350,7 +385,7 @@ class DataflowMachine:
             nbytes / self.network_rate,
             delivered,
             nbytes=nbytes,
-            query=self._tree_name_of(cell),
+            query=cell.tree_name,
             span_kind="transit",
         )
 
@@ -365,8 +400,9 @@ class DataflowMachine:
         cell.done = True
         for destination, slot in cell.destinations:
             destination.operands[slot].finish()
+            self._touch(destination)
         if not cell.destinations:
-            tree_name = self._tree_name_of(cell)
+            tree_name = cell.tree_name
             if tree_name not in self._query_done_at:
                 self._query_done_at[tree_name] = self.sim.now
                 if isinstance(cell.node, (AppendNode, DeleteNode, UpdateNode)):
@@ -390,15 +426,6 @@ class DataflowMachine:
 
     def _pump_soon(self) -> None:
         self.sim.schedule(0.0, self._pump, label="pump")
-
-    def _tree_name_of(self, cell: Cell) -> str:
-        if cell.tree_name:
-            return cell.tree_name
-        # Fallback for cells built outside submit() (tests, tools): scan.
-        for program in self._programs:
-            if cell in program.cells:
-                return program.tree.name
-        raise MachineError(f"orphan cell {cell!r}")
 
 
 def run_dataflow(

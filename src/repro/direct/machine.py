@@ -196,6 +196,7 @@ class DirectMachine:
             disks=self.disks,
         )
 
+        #: Live instructions (done ones leave in :meth:`_complete`).
         self._instructions: List[Instruction] = []
         self._runs: List[QueryRun] = []
         self._base_pages: Dict[str, List[PageRef]] = {}
@@ -986,6 +987,9 @@ class DirectMachine:
 
     def _complete(self, instr: Instruction) -> None:
         instr.done = True
+        # A done instruction never dispatches again: the MC scans only
+        # live ones (node ids are unique, so the pick order is unchanged).
+        self._instructions.remove(instr)
         instr.completed_at = self.sim.now
         if not self.granularity.pipeline:
             # Relation-level: the operand becomes visible all at once now.

@@ -20,12 +20,13 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.errors import MachineError, WorkloadError
+from repro.relational.page import page_capacity
 from repro.serve.admission import ADMIT, QUEUE, AdmissionQueue
 from repro.serve.arrivals import make_arrivals
 from repro.serve.sessions import DEFAULT_MIX, SessionWorkload
 from repro.serve.slo import LatencyRecorder, build_report
 from repro.sim.random import RandomStreams
-from repro.workload.generator import generate_benchmark_database
+from repro.workload.generator import BENCHMARK_SCHEMA, generate_benchmark_database
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.sim.engine import Simulator
@@ -85,6 +86,16 @@ class ServeConfig:
             raise WorkloadError(
                 "write_mix needs the ring machine's lock manager; "
                 f"{self.machine!r} cannot serialize concurrent writers"
+            )
+        # The widest record a served query produces is its deepest join
+        # chain's output: one benchmark record per joined relation.
+        widest = BENCHMARK_SCHEMA
+        for _ in range(max((i for i, w in enumerate(self.mix) if w > 0), default=0)):
+            widest = widest.concat_unique(BENCHMARK_SCHEMA)
+        if page_capacity(widest, self.page_bytes) < 1:
+            raise WorkloadError(
+                f"page_bytes {self.page_bytes} cannot hold one "
+                f"{widest.record_width}-byte record of the widest served query"
             )
 
 

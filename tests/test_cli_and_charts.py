@@ -232,6 +232,21 @@ class TestCli:
                 "--selectivity: must be in (0, 1]",
                 id="run-selectivity",
             ),
+            pytest.param(
+                ["faults", "--machine", "ring", "--processors", "4", "--kill", "4"],
+                "--kill 4 must be below --processors 4",
+                id="kill-every-ip",
+            ),
+            pytest.param(
+                ["faults", "--machine", "ring", "--processors", "4", "--kill", "99"],
+                "--kill 99 must be below --processors 4",
+                id="kill-missing-ip",
+            ),
+            pytest.param(
+                ["serve", "--page-bytes", "64"],
+                "page_bytes 64 cannot hold one 288-byte record",
+                id="serve-page-bytes",
+            ),
         ],
     )
     def test_bad_flag_values_are_usage_errors(self, argv, message, tmp_path, monkeypatch, capsys):

@@ -13,12 +13,15 @@ import random
 import pytest
 
 from repro.dataflow.machine import DataflowMachine
+from repro.direct import machine as direct_machine
 from repro.direct import scheduler
 from repro.direct.machine import DirectMachine
 from repro.relational.catalog import Catalog
 from repro.relational.predicate import attr
 from repro.relational.relation import Relation
 from repro.relational.schema import DataType, Schema
+from repro.check.identity import QUICK_CONFIGS
+from repro.experiments import serving
 from repro.query import execute
 from repro.query.builder import NodeBuilder, scan
 
@@ -52,7 +55,7 @@ def random_operand(rng: random.Random, catalog: Catalog) -> NodeBuilder:
     return builder
 
 
-def random_tree(rng: random.Random, catalog: Catalog):
+def random_tree(rng: random.Random, catalog: Catalog, name: str = "rand"):
     builder = random_operand(rng, catalog)
     joins = rng.randint(0, 2)
     for _ in range(joins):
@@ -70,7 +73,7 @@ def random_tree(rng: random.Random, catalog: Catalog):
     if isinstance(builder.node, ScanNode):
         # Machines execute operators, not bare scans; guarantee at least one.
         builder = builder.restrict(attr("k") >= 0)
-    tree = builder.tree("rand")
+    tree = builder.tree(name)
     tree.validate(catalog)
     return tree
 
@@ -143,3 +146,165 @@ def test_dataflow_machine_random_tree(seed):
     machine.submit(tree)
     report = machine.run()
     assert report.results[tree.name].same_rows_as(oracle), seed
+
+
+# ---------------------------------------------------------------------------
+# Event-driven readiness: the touched-cell pump launches exactly what the
+# full memory-section scan it replaced did, and DIRECT's live-instruction
+# list picks exactly what the list of every compiled instruction did.
+
+
+class FullScanDataflowMachine(DataflowMachine):
+    """The data-flow machine with its old pump: visit every cell in order."""
+
+    def _pump(self) -> None:
+        for program in self._programs:
+            for cell in program.cells:
+                if cell.done:
+                    continue
+                for unit in cell.ready_firings(self.granularity):
+                    self._launch(unit)
+                self._check_cell_completion(cell)
+
+
+def record_launches(machine):
+    """Log ``(sim.now, cell position, unit.pages)`` for every launch."""
+    log = []
+    launch = machine._launch
+
+    def recording(unit):
+        log.append((machine.sim.now, unit.cell.position, unit.pages))
+        launch(unit)
+
+    machine._launch = recording
+    return log
+
+
+def assert_same_run(case, pump_run, scan_run):
+    (pump_log, pump), (scan_log, scan) = pump_run, scan_run
+    assert pump_log, case
+    assert pump_log == scan_log, case
+    assert pump.events_processed == scan.events_processed, case
+    assert pump.elapsed_ms == scan.elapsed_ms, case
+    assert pump.firings == scan.firings, case
+    assert pump.arbitration_bytes == scan.arbitration_bytes, case
+    assert pump.query_times == scan.query_times, case
+    assert sorted(pump.results) == sorted(scan.results), case
+    for name, relation in pump.results.items():
+        assert list(relation.rows()) == list(scan.results[name].rows()), (case, name)
+
+
+def run_batch(machine_class, catalog, trees, processors, granularity):
+    machine = machine_class(
+        catalog, processors=processors, granularity=granularity, page_bytes=PAGE_BYTES
+    )
+    log = record_launches(machine)
+    for tree in trees:
+        machine.submit(tree)
+    return log, machine.run()
+
+
+def three_random_trees(seed):
+    rng = random.Random(3000 + seed)
+    catalog = random_catalog(rng)
+    trees = [random_tree(rng, catalog, f"rand{i}") for i in range(3)]
+    return catalog, trees, rng.randint(1, 5)
+
+
+@pytest.mark.parametrize("granularity", ["page", "tuple", "relation"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_touched_pump_matches_full_scan(seed, granularity):
+    catalog, trees, processors = three_random_trees(seed)
+    assert_same_run(
+        seed,
+        run_batch(DataflowMachine, catalog, trees, processors, granularity),
+        run_batch(FullScanDataflowMachine, catalog, trees, processors, granularity),
+    )
+
+
+@pytest.mark.parametrize("granularity", ["page", "tuple", "relation"])
+def test_touched_pump_matches_full_scan_on_empty_intermediate(granularity):
+    # A restrict that fires but emits nothing: its consumers get no page,
+    # only the slot completion, which alone must wake them.
+    catalog = random_catalog(random.Random(7))
+    emptied = scan("t1").restrict(attr("k") < 0)
+    trees = [
+        emptied.project(["g"]).tree("empty_project"),
+        scan("t2").equijoin(emptied, "g", "g").tree("empty_inner"),
+    ]
+    assert_same_run(
+        granularity,
+        run_batch(DataflowMachine, catalog, trees, 2, granularity),
+        run_batch(FullScanDataflowMachine, catalog, trees, 2, granularity),
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS[:5])
+def test_touched_pump_matches_full_scan_when_serving(seed):
+    # Mid-run submissions: one from a scheduled arrival, one from the
+    # completion hook, which fires inside a pump pass.
+    catalog, trees, processors = three_random_trees(seed)
+
+    def service(machine_class):
+        machine = machine_class(
+            catalog, processors=processors, granularity="page", page_bytes=PAGE_BYTES
+        )
+        log = record_launches(machine)
+        machine.submit(trees[0])
+        machine.sim.schedule(0.5, lambda: machine.submit(trees[1]), label="arrive")
+
+        def submit_third(_name, _at, _rows):
+            machine.on_query_complete = None
+            machine.submit(trees[2])
+
+        machine.on_query_complete = submit_third
+        return log, machine.run_service()
+
+    assert_same_run(seed, service(DataflowMachine), service(FullScanDataflowMachine))
+
+
+@pytest.fixture
+def checked_picks(monkeypatch):
+    """Check every DIRECT pick against one over every compiled instruction."""
+    compiled = []
+    compile_node = DirectMachine._compile_node
+
+    def compiling(self, node, tree):
+        compiled.append(compile_node(self, node, tree))
+        return compiled[-1]
+
+    pick = direct_machine.pick_instruction
+    picks = []
+
+    def checking(instructions, metrics=None):
+        live = pick(instructions, metrics=metrics)
+        assert live is pick(compiled)
+        picks.append(live)
+        return live
+
+    monkeypatch.setattr(DirectMachine, "_compile_node", compiling)
+    monkeypatch.setattr(direct_machine, "pick_instruction", checking)
+    return picks
+
+
+def test_live_instruction_picks_match_full_list_when_serving(checked_picks):
+    _module, kwargs = QUICK_CONFIGS["serving"]
+    serving.run(**dict(kwargs, machines=("direct",)))
+    assert sum(p is not None for p in checked_picks) > 1000
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_live_instruction_picks_match_full_list_random_tree(seed, checked_picks):
+    rng = random.Random(seed)
+    catalog = random_catalog(rng)
+    tree = random_tree(rng, catalog)
+    machine = DirectMachine(
+        catalog,
+        processors=rng.randint(1, 5),
+        granularity=rng.choice([scheduler.PAGE, scheduler.RELATION, scheduler.TUPLE]),
+        page_bytes=PAGE_BYTES,
+        cache_bytes=16 * PAGE_BYTES,
+    )
+    machine.submit(tree)
+    machine.run()
+    assert any(p is not None for p in checked_picks), seed
