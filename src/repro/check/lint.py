@@ -168,15 +168,6 @@ SEEDED_VIOLATIONS = {
     "R003": "pending: set = set()\nfor item in pending:\n    print(item)\n",
     "R004": "def f(now, deadline):\n    return now == deadline\n",
     "R005": "def f(resource):\n    resource.acquire(label='x')\n",
-    "R006": (
-        "def grab_ab(self, request):\n"
-        "    self.lock_a.acquire(request)\n"
-        "    self.lock_b.acquire(request)\n"
-        "\n"
-        "def grab_ba(self, request):\n"
-        "    self.lock_b.acquire(request)\n"
-        "    self.lock_a.acquire(request)\n"
-    ),
     "R008": "def f(pending=[]):\n    return pending\n",
     "R009": "def f():\n    ctx = configured()\n    return ctx\n",
     "R010": "import json\ndef f(report):\n    return json.dumps(report)\n",

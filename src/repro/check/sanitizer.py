@@ -58,24 +58,22 @@ __all__ = ["LockOrderWitness", "Sanitizer"]
 
 
 class LockOrderWitness:
-    """Runtime complement of the static lock-order analysis (F001).
+    """Runtime lock-order guard at relation granularity.
 
-    The static pass proves the *source* admits no acquisition cycle at
-    module granularity; this witness checks the orders a run actually
-    exhibits at relation granularity, which the static pass cannot see
-    (relation names are data).  Every acquisition is recorded as
-    ``(query, lock, site)``; acquiring ``b`` while holding ``a``
-    establishes the global edge ``a -> b``.  A later acquisition that
-    would establish ``b -> a`` is an inversion: two in-flight queries
-    could each hold one lock and wait forever on the other.  The raise
-    names both sites — the one acquiring against the established order
-    and the one that established it.
+    It checks the orders a run actually exhibits, one lock per relation;
+    relation names are data, so no pass over the source can see them.
+    Every acquisition is recorded as ``(query, lock, site)``; acquiring
+    ``b`` while holding ``a`` establishes the global edge ``a -> b``.  A
+    later acquisition that would establish ``b -> a`` is an inversion:
+    two in-flight queries could each hold one lock and wait forever on
+    the other.  The raise names both sites — the one acquiring against
+    the established order and the one that established it.
 
     ``LockManager`` grants each query's whole set atomically (one
     :meth:`record_grant` per admission), so a run that stays inside it
     can never trip the witness; the witness is the guard for the day
-    that invariant is relaxed (item 4's sharded multi-ring admission
-    acquires per shard).
+    that invariant is relaxed (a sharded multi-ring admission would
+    acquire per shard).
     """
 
     def __init__(self) -> None:

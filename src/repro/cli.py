@@ -25,14 +25,10 @@ Commands:
                                 buckets (repro-explain/v1); optional
                                 repro-tsdb/v1 time-series and Chrome-trace
                                 flow-graph outputs
-* ``check [paths...]``        — determinism lint (R001-R006, R008-R011);
-                                ``--flow`` adds the interprocedural
-                                lock-order analysis (static deadlock
-                                detection F001); ``--format`` selects
-                                text/json/sarif/github output;
-                                ``--self-test`` proves each rule and
-                                analysis still fires;
-                                ``--tracing-identity`` proves span
+* ``check [paths...]``        — determinism lint (R001-R005, R008-R011);
+                                ``--format`` selects text/json output;
+                                ``--self-test`` proves each rule still
+                                fires; ``--tracing-identity`` proves span
                                 tracing changes no output bytes
 
 ``run``/``trace``/``metrics``/``faults``/``recover``/``serve`` accept
@@ -305,20 +301,15 @@ def _cmd_workload(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from repro.check.lint import lint_paths, self_test
-    from repro.check.render import render
+    from repro.check.lint import lint_paths, render_json, render_text, self_test
 
     if args.self_test:
-        from repro.check.flow import flow_self_test
-
-        problems = self_test() + flow_self_test()
+        problems = self_test()
+        for problem in problems:
+            print(problem)
         if problems:
-            for problem in problems:
-                print(problem)
-            return 2
-        print(
-            "self-test OK: every rule and flow analysis fires and suppresses"
-        )
+            return 1
+        print("self-test OK: every rule fires and suppresses")
         return 0
     if args.tracing_identity:
         from repro.check.identity import identity_mismatches
@@ -331,13 +322,8 @@ def _cmd_check(args) -> int:
         print("tracing identity OK: byte-identical renders")
         return 0
     findings = lint_paths(args.paths)
-    if args.flow:
-        from repro.check.flow import analyze_paths
-
-        findings = findings + analyze_paths(args.paths)
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    fmt = "json" if args.as_json else args.format
-    _emit(render(findings, fmt), args.report_out, f"{len(findings)} finding(s) as {fmt}")
+    render = render_json if args.format == "json" else render_text
+    _emit(render(findings), args.report_out, f"{len(findings)} finding(s) as {args.format}")
     return 1 if findings else 0
 
 
@@ -585,19 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
         "paths", nargs="*", default=["src"], help="files/directories (default: src)"
     )
     check.add_argument(
-        "--json", action="store_true", dest="as_json", help="emit findings as JSON"
-    )
-    check.add_argument(
-        "--flow",
-        action="store_true",
-        help="also run the interprocedural lock-order analysis "
-        "(static deadlock detection F001)",
-    )
-    check.add_argument(
-        "--format",
-        choices=["text", "json", "sarif", "github"],
-        default="text",
-        help="finding output format (github emits ::error annotations)",
+        "--format", choices=["text", "json"], default="text", help="finding output format"
     )
     check.add_argument(
         "--out",
@@ -609,8 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--self-test",
         action="store_true",
         dest="self_test",
-        help="verify every rule and flow analysis fires on its seeded "
-        "violation (CI gate)",
+        help="verify every rule fires on its seeded violation (CI gate)",
     )
     check.add_argument(
         "--tracing-identity",

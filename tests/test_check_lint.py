@@ -1,8 +1,9 @@
-"""The ``repro check`` determinism linter: rules R001-R005."""
+"""The ``repro check`` determinism linter: rules R001-R005 and R008-R010."""
 
 import json
 
 from repro.check.lint import (
+    SEEDED_VIOLATIONS,
     iter_python_files,
     lint_paths,
     lint_source,
@@ -11,6 +12,7 @@ from repro.check.lint import (
     render_text,
     self_test,
 )
+from repro.check.rules import ALL_RULES
 
 SIM_PATH = "repro/sim/module.py"
 RING_PATH = "repro/ring/module.py"
@@ -264,3 +266,63 @@ def test_r005_nested_callback_is_its_own_scope():
         "lease = r.acquire(label='x')  # repro: allow[R005]",
     )
     assert rules_in(suppressed) == []
+
+
+# ------------------------------------------- R008-R010, multi-id allow[]
+
+
+def test_r008_fires_on_mutable_default():
+    assert "R008" in rules_in("def f(pending=[]):\n    return pending\n")
+    assert "R008" in rules_in("def f(cache={}):\n    return cache\n")
+    assert "R008" in rules_in("def f(seen=set()):\n    return seen\n")
+
+
+def test_r008_silent_on_immutable_defaults():
+    assert "R008" not in rules_in("def f(x=None, y=(), z=0):\n    return x\n")
+
+
+def test_r009_fires_outside_with():
+    assert "R009" in rules_in("def f():\n    ctx = configured(sanitize=True)\n    return ctx\n")
+    assert "R009" in rules_in("def f(obs):\n    obs.configured().__enter__()\n")
+
+
+def test_r009_allows_with_and_enter_context():
+    ok = (
+        "def f(stack):\n"
+        "    with configured(sanitize=True):\n"
+        "        pass\n"
+        "    stack.enter_context(obs.configured(faults=None))\n"
+    )
+    assert "R009" not in rules_in(ok)
+
+
+def test_r010_fires_without_sort_keys():
+    assert "R010" in rules_in("import json\ndef f(d):\n    return json.dumps(d)\n")
+
+
+def test_r010_allows_sorted_serialization():
+    source = "import json\ndef f(d):\n    return json.dumps(d, sort_keys=True)\n"
+    assert "R010" not in rules_in(source)
+
+
+def test_multi_id_allow_comment_suppresses_both_rules():
+    source = (
+        "import time, random\n"
+        "x = random.random() + time.time()  # repro: allow[R001,R002]\n"
+    )
+    assert rules_in(source) == []
+
+
+def test_two_allow_groups_on_one_line_are_both_honored():
+    source = (
+        "import time, random\n"
+        "x = random.random() + time.time()"
+        "  # repro: allow[R001]  # repro: allow[R002]\n"
+    )
+    assert rules_in(source) == []
+
+
+def test_lint_self_test_covers_all_nine_rules():
+    assert self_test() == []
+    assert sorted(SEEDED_VIOLATIONS) == sorted(rule.rule_id for rule in ALL_RULES)
+    assert len(ALL_RULES) == 9

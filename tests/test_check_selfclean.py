@@ -56,7 +56,7 @@ def test_cli_check_json_output(tmp_path, capsys):
     bad = tmp_path / "repro" / "sim"
     bad.mkdir(parents=True)
     (bad / "hot.py").write_text("import random\nr = random.Random(1)\n")
-    assert main(["check", "--json", str(tmp_path)]) == 1
+    assert main(["check", "--format", "json", str(tmp_path)]) == 1
     import json
 
     payload = json.loads(capsys.readouterr().out)
