@@ -124,15 +124,16 @@ class DataflowMachine:
         """Arm durable write transactions through ``tm``.
 
         Seeds the stable store from the catalog's current images if the
-        caller has not already, and registers the WAL invariants with
-        this run's sanitizer.  Like DIRECT, the data-flow machine has no
-        admission lock manager: conflicting writes must be serialized by
-        the caller (chained submission).
+        caller has not already, and binds ``tm`` to this run's simulator
+        (WAL invariants in its sanitizer, WAL volume in its metrics).
+        Like DIRECT, the data-flow machine has no admission lock manager:
+        conflicting writes must be serialized by the caller (chained
+        submission).
         """
         if not tm.store.pages:
             tm.seed_from_catalog(self.catalog)
         self.txn = tm
-        tm.register_sanitizer(self.sim)
+        tm.attach(self.sim)
 
     def submit(self, tree: QueryTree) -> DataflowProgram:
         """Compile ``tree`` into cells and add it to the memory section."""

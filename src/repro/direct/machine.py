@@ -255,15 +255,16 @@ class DirectMachine:
         """Arm durable write transactions through ``tm``.
 
         Seeds the stable store from the catalog's current images if the
-        caller has not already, and registers the WAL invariants with
-        this run's sanitizer.  DIRECT has no admission lock manager, so
-        callers must serialize conflicting writes themselves (the crash
-        harness and serve layer chain write submissions back-to-back).
+        caller has not already, and binds ``tm`` to this run's simulator
+        (WAL invariants in its sanitizer, WAL volume in its metrics).
+        DIRECT has no admission lock manager, so callers must serialize
+        conflicting writes themselves (the crash harness and serve layer
+        chain write submissions back-to-back).
         """
         if not tm.store.pages:
             tm.seed_from_catalog(self.catalog)
         self.txn = tm
-        tm.register_sanitizer(self.sim)
+        tm.attach(self.sim)
 
     def submit(self, tree: QueryTree) -> QueryRun:
         """Compile ``tree`` into instructions and queue it for execution."""

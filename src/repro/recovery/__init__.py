@@ -26,7 +26,6 @@ Layering:
 from repro.recovery.apply import (
     apply_write,
     canonical_pages,
-    canonical_relation,
 )
 from repro.recovery.restart import RecoveryReport, recover
 from repro.recovery.store import StableStore
@@ -57,7 +56,6 @@ __all__ = [
     "TransactionManager",
     "apply_write",
     "canonical_pages",
-    "canonical_relation",
     "decode_stream",
     "encode_record",
     "recover",

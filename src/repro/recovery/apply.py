@@ -8,8 +8,10 @@ oracle, so every commit installs the **canonical form** of the new
 relation: rows sorted, then densely packed.  Mid-transaction staged
 pages keep their arrival order — those are genuine partial writes the
 undo phase must erase — but the images logged at commit, the catalog
-relation the next query reads, and the oracle's replayed state all pass
-through :func:`canonical_pages` and therefore agree byte-for-byte.
+relation the next query reads, and the oracle's replayed state all come
+from one sorted packing (the pages behind :func:`canonical_pages`) and
+therefore agree byte-for-byte.  A commit sorts and packs once: the
+images it logs and the relation it installs are the same pages.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.query.tree import AppendNode, DeleteNode, QueryNode, UpdateNode
 from repro.relational.catalog import Catalog
-from repro.relational.page import pack_rows_into_pages
+from repro.relational.page import Page, pack_rows_into_pages
 from repro.relational.relation import Relation
 from repro.relational.schema import Row, Schema
 
@@ -28,26 +30,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 __all__ = [
     "apply_write",
     "canonical_pages",
-    "canonical_relation",
     "write_target",
 ]
+
+
+def _canonical_page_list(
+    schema: Schema, rows: Sequence[Row], page_bytes: int
+) -> List[Page]:
+    """Rows sorted, then densely packed — the committed form as pages."""
+    return pack_rows_into_pages(schema, sorted(rows), page_bytes, validated=True)
 
 
 def canonical_pages(
     schema: Schema, rows: Sequence[Row], page_bytes: int
 ) -> List[bytes]:
     """Sorted, densely packed page images — the committed on-disk form."""
-    pages = pack_rows_into_pages(schema, sorted(rows), page_bytes, validated=True)
-    return [page.to_bytes() for page in pages]
-
-
-def canonical_relation(
-    name: str, schema: Schema, rows: Sequence[Row], page_bytes: int
-) -> Relation:
-    """The canonical :class:`Relation` for the same committed state."""
-    return Relation.from_rows(
-        name, schema, sorted(rows), page_bytes, validated=True
-    )
+    return [page.to_bytes() for page in _canonical_page_list(schema, rows, page_bytes)]
 
 
 def write_target(root: QueryNode) -> Optional[str]:
@@ -64,10 +62,16 @@ def new_relation_rows(
 
     Delete/update kernels emit the *surviving/transformed whole content*
     of the target, so their result already is the new relation; append
-    emits only the arriving rows, which extend the old content.
+    emits only the arriving rows, which extend the old content.  Those
+    come off the child's pages, and an append node checks only that the
+    child's arity matches the target's, so each arriving row is checked
+    against the target's schema here; every other row is valid by
+    construction.
     """
     if isinstance(root, AppendNode):
         old = catalog.get(root.target_relation)
+        for row in result_rows:
+            old.schema.validate_row(row)
         return list(old.rows()) + list(result_rows)
     return list(result_rows)
 
@@ -97,12 +101,10 @@ def apply_write(
     if tm is not None:
         if txn is None:
             raise ValueError("apply_write: tm armed but no transaction handle")
-        images = canonical_pages(schema, rows, page_bytes)
-        tm.commit(txn, images)
-        relation = canonical_relation(target, schema, rows, page_bytes)
+        pages = _canonical_page_list(schema, rows, page_bytes)
+        tm.commit(txn, [page.to_bytes() for page in pages])
     else:
-        relation = Relation.from_rows(
-            target, schema, rows, page_bytes, validated=True
-        )
+        pages = pack_rows_into_pages(schema, rows, page_bytes, validated=True)
+    relation = Relation(target, schema, pages, page_bytes)
     catalog.replace(relation)
     return relation, rows

@@ -34,6 +34,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import RecoveryError
+from repro.obs.metrics import NULL_REGISTRY
 from repro.recovery.store import StableStore
 from repro.recovery.wal import (
     KIND_ABORT,
@@ -134,6 +135,10 @@ class TransactionManager:
         self.aborts = 0
         self.checkpoints = 0
         self.clr_records = 0
+        #: WAL volume: records appended and their encoded bytes.  These
+        #: discard what they count until :meth:`attach` binds them.
+        self._wal_records = NULL_REGISTRY.counter("recovery.wal_records")
+        self._wal_bytes = NULL_REGISTRY.counter("recovery.wal_bytes")
         self.crashed = False
         self._violations: List[str] = []
 
@@ -148,8 +153,15 @@ class TransactionManager:
                 [page.to_bytes() for page in relation.packed_pages(self.page_bytes)],
             )
 
-    def register_sanitizer(self, sim: "Simulator") -> None:
-        """Hook the WAL invariants into the simulator's finish checks."""
+    def attach(self, sim: "Simulator") -> None:
+        """Bind to the simulator of the machine this manager logs for.
+
+        The WAL invariants join its sanitizer's finish checks, and WAL
+        volume is published as the ``recovery.wal_records`` and
+        ``recovery.wal_bytes`` counters of its metrics registry.
+        """
+        self._wal_records = sim.metrics.counter("recovery.wal_records")
+        self._wal_bytes = sim.metrics.counter("recovery.wal_bytes")
         if sim.sanitizer is not None:
             sim.sanitizer.register_finish_check(
                 "recovery.wal", self.sanitize_violations
@@ -183,7 +195,10 @@ class TransactionManager:
                 f"WAL LSN not monotone: {record.lsn} appended after "
                 f"{self._tail_last_lsn}"
             )
-        self._tail.extend(encode_record(record))
+        frame = encode_record(record)
+        self._tail.extend(frame)
+        self._wal_records.add()
+        self._wal_bytes.add(len(frame))
         self._tail_last_lsn = record.lsn
         self._records[record.lsn] = record
         return record

@@ -186,13 +186,13 @@ class RingMachine:
         """Arm durable write transactions through ``tm``.
 
         Seeds the stable store from the catalog's current images if the
-        caller has not already, and registers the WAL invariants with
-        this run's sanitizer.
+        caller has not already, and binds ``tm`` to this run's simulator
+        (WAL invariants in its sanitizer, WAL volume in its metrics).
         """
         if not tm.store.pages:
             tm.seed_from_catalog(self.catalog)
         self.txn = tm
-        tm.register_sanitizer(self.sim)
+        tm.attach(self.sim)
 
     # ------------------------------------------------------------------ host API
 
@@ -507,12 +507,13 @@ class RingMachine:
 
     def _result_relation(self, run: RingQueryRun) -> Relation:
         root = run.tree.root
-        schema = root.output_schema(self.catalog)
-        out = Relation(f"{run.tree.name}.result", schema, page_bytes=self.page_bytes)
-        # Result shipping, not base data: this relation is born and dies
-        # with the answer, so there is nothing for the WAL to recover.
-        out.insert_many(self._query_rows.get(run.tree.name, []))  # repro: allow[R011]
-        return out
+        return Relation.from_rows(
+            f"{run.tree.name}.result",
+            root.output_schema(self.catalog),
+            self._query_rows.get(run.tree.name, []),
+            self.page_bytes,
+            validated=True,  # result rows came off kernel-output pages
+        )
 
     # ------------------------------------------------------------------ activation
 
@@ -946,36 +947,26 @@ class RingMachine:
         rows = self._query_rows.get(tree.name, [])
         node = tree.root
         txn = self._write_txns.get(tree.name)
-        if txn is not None:
-            if (
-                isinstance(node, (DeleteNode, UpdateNode))
-                and tree.name not in self._force_exclusive
-                and not self.mc.locks.try_upgrade(tree.name, node.target_relation)
-            ):
-                self._abort_write_attempt(tree)
-                return
-            del self._write_txns[tree.name]
+        if (
+            txn is not None
+            and isinstance(node, (DeleteNode, UpdateNode))
+            and tree.name not in self._force_exclusive
+            and not self.mc.locks.try_upgrade(tree.name, node.target_relation)
+        ):
+            self._abort_write_attempt(tree)
+            return
+        if isinstance(node, (AppendNode, DeleteNode, UpdateNode)):
+            self._write_txns.pop(tree.name, None)
             self._force_exclusive.pop(tree.name, None)
-            _, all_rows = apply_write(
-                self.catalog, node, rows, self.page_bytes, tm=self.txn, txn=txn
+            _, self._query_rows[tree.name] = apply_write(
+                self.catalog,
+                node,
+                rows,
+                self.page_bytes,
+                tm=self.txn if txn is not None else None,
+                txn=txn,
             )
-            self._query_rows[tree.name] = all_rows
-            self._base_pages.pop(node.target_relation, None)
-        elif isinstance(node, (DeleteNode, UpdateNode)):
-            updated = Relation(node.target_relation, root_ic.result_schema, page_bytes=4096)
-            updated.insert_many(rows)
-            self.catalog.replace(updated)
             # Later queries must re-page the relation from the new state.
-            self._base_pages.pop(node.target_relation, None)
-        elif isinstance(node, AppendNode):
-            target = self.catalog.get(node.target_relation)
-            updated = Relation(
-                node.target_relation, target.schema, page_bytes=target.page_bytes
-            )
-            updated.insert_many(target.rows())
-            updated.insert_many(rows)
-            self.catalog.replace(updated)
-            self._query_rows[tree.name] = list(updated.rows())
             self._base_pages.pop(node.target_relation, None)
         for run in self._runs:
             if run.tree is tree and run.completed_at is None:

@@ -259,7 +259,7 @@ class TestWalSanitizer:
         sim = Simulator(RunConfig(sanitize=True))
         store = seeded_store(pair_schema, base_rows())
         tm = TransactionManager(store, PAGE_BYTES)
-        tm.register_sanitizer(sim)
+        tm.attach(sim)
         tm.begin("w1", "r", pair_schema)  # left active: a violation
         sim.run()
         with pytest.raises(SanitizerError, match="recovery.wal"):
@@ -381,6 +381,20 @@ class TestCrashTrials:
         assert trial.byte_identical
         assert trial.acknowledged_durable
         assert trial.ok
+
+    @pytest.mark.parametrize("machine", ["direct", "dataflow"])
+    def test_dropped_wal_force_turns_the_oracle_red(self, machine, monkeypatch):
+        # Seeded mutant: force() never reaches the durable log, so commits
+        # are acknowledged that the crash then loses.  (The ring cell at
+        # this seed acknowledges no commit before the crash, so it cannot
+        # see this mutant.)
+        monkeypatch.setattr(TransactionManager, "force", lambda self: None)
+        trial = run_crash_trial(
+            machine=machine, seed=3, crash_rate=1.0, crash_at_ms=250.0, queries=10
+        )
+        assert trial.crashed
+        assert not trial.acknowledged_durable
+        assert not trial.ok
 
     def test_no_crash_control_cell(self):
         trial = run_crash_trial(

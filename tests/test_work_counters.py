@@ -19,6 +19,7 @@ import pytest
 
 from repro import obs
 from repro.check.identity import QUICK_CONFIGS, render_experiment
+from repro.recovery.txn import TransactionManager
 from repro.sim.engine import Simulator
 
 GOLDEN_PATH = Path(__file__).with_name("work_counters.json")
@@ -79,3 +80,25 @@ def test_gate_sees_work_the_render_does_not(monkeypatch):
     mutant, counters = run_counted("figure_3_1")
     assert mutant == baseline
     assert counter_diff("figure_3_1", counters) == ["sim.events: 3965.0 → 4044.0"]
+
+
+def test_gate_sees_wal_volume(monkeypatch):
+    # Seeded mutant: commit logs every canonical page, not just the pages
+    # that differ from the buffered images.  The chaos report cannot
+    # show it; the WAL counters must.
+    baseline, _ = run_counted("chaos")
+    commit = TransactionManager.commit
+
+    def commit_logging_every_page(self, txn, images):
+        for number, image in enumerate(images):
+            self.log_page_update(txn, txn.relation, number, image)
+        commit(self, txn, images)
+
+    monkeypatch.setattr(TransactionManager, "commit", commit_logging_every_page)
+    mutant, counters = run_counted("chaos")
+    assert mutant == baseline
+    diff = counter_diff("chaos", counters)
+    assert [line.split(":")[0] for line in diff] == [
+        "recovery.wal_bytes",
+        "recovery.wal_records",
+    ], diff

@@ -11,10 +11,12 @@ storage substrate tracks page dirtiness for the WAL to flush.
 
 import pytest
 
+from repro.dataflow.machine import DataflowMachine
 from repro.direct.cache import DiskCache
 from repro.direct.exec_model import ExecModel
+from repro.direct.machine import DirectMachine
 from repro.direct.traffic import TrafficMeter
-from repro.errors import ConcurrencyError, WorkloadError
+from repro.errors import ConcurrencyError, SchemaError, WorkloadError
 from repro.experiments.chaos_sweep import (
     STATEFUL_FAULTS,
     WRITE_MACHINE_FAULTS,
@@ -22,15 +24,24 @@ from repro.experiments.chaos_sweep import (
     run_faulted_write_benchmark,
 )
 from repro.faults import FaultPlan
+from repro.query.builder import delete_from, scan
 from repro.recovery.harness import run_crash_trial
+from repro.relational.catalog import Catalog
 from repro.relational.heapfile import HeapFile, RowId
 from repro.relational.page import Page
+from repro.relational.predicate import attr
+from repro.relational.relation import Relation
+from repro.relational.schema import DataType, Schema
 from repro.ring.concurrency import LockManager, LockMode, LockRequest
+from repro.ring.machine import RingMachine
 from repro.serve import ServeConfig, serve
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
 from repro.workload import generate_benchmark_database
 from repro.workload.updates import mixed_update_workload
+
+
+MACHINES = {"ring": RingMachine, "direct": DirectMachine, "dataflow": DataflowMachine}
 
 
 def req(name, shared=(), exclusive=()):
@@ -85,6 +96,34 @@ class TestWriteExecution:
         assert trial.commits == 6
         assert trial.byte_identical
         assert trial.ok
+
+    @pytest.mark.parametrize("machine", ["ring", "direct", "dataflow"])
+    def test_write_without_wal_installs_at_machine_page_size(self, machine, pair_schema):
+        catalog = Catalog()
+        catalog.register(
+            Relation.from_rows("t", pair_schema, [(i, i % 4) for i in range(60)], page_bytes=128)
+        )
+        m = MACHINES[machine](catalog, processors=2, page_bytes=128)
+        m.submit(delete_from("t", attr("grp") == 0, name="d"))
+        m.run()
+        assert catalog.get("t").cardinality == 45
+        assert catalog.get("t").page_bytes == 128
+
+    @pytest.mark.parametrize("machine", ["ring", "direct", "dataflow"])
+    def test_append_rows_are_checked_against_the_target(self, machine, pair_schema):
+        # An append node checks only arity: FLOAT rows must not land in
+        # an INT column.
+        floats = Schema.build(("k", DataType.INT), ("grp", DataType.FLOAT))
+        catalog = Catalog()
+        catalog.register(
+            Relation.from_rows("src", floats, [(i, i + 0.5) for i in range(20)], page_bytes=128)
+        )
+        catalog.register(Relation("sink", pair_schema, page_bytes=128))
+        m = MACHINES[machine](catalog, processors=2, page_bytes=128)
+        m.submit(scan("src").restrict(attr("k") < 10).append_into("sink").tree("a"))
+        with pytest.raises(SchemaError, match="'grp' expects int"):
+            m.run()
+        assert catalog.get("sink").cardinality == 0
 
 
 # ------------------------------------------------------------- lock upgrades
