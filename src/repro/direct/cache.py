@@ -24,10 +24,11 @@ is deterministic.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, KeysView, List, Optional, Tuple
 
 from repro.errors import MachineError, RetryExhaustedError
 from repro.faults.plan import FaultSpec
@@ -103,6 +104,11 @@ class DiskCache:
         self.disks = disks
         self._frames: Dict[str, _Frame] = {}
         self._use_clock = itertools.count()
+        #: Lazy min-heap of ``(protected, last_use, key)`` over unpinned
+        #: frames.  An entry is live while its frame exists, is unpinned and
+        #: still carries that ``protected``/``last_use``; stale entries are
+        #: dropped when they reach the top or when the heap is rebuilt.
+        self._victims: List[Tuple[bool, int, str]] = []
         self._alloc_waiters: Deque[Callable[[], None]] = deque()
         self._inflight_reads: Dict[str, _SharedRead] = {}
         #: Pages counted resident including frames mid-fill.
@@ -141,6 +147,10 @@ class DiskCache:
         IPs use exactly this opportunism via their IRC vectors.
         """
         return ref.key in self._inflight_reads
+
+    def inflight_keys(self) -> KeysView[str]:
+        """Keys of the pages whose delivery is on the interconnect now."""
+        return self._inflight_reads.keys()
 
     def read_shared(self, ref: PageRef, done: Callable[[], None]) -> None:
         """Deliver ``ref`` toward the processor interconnect.
@@ -220,15 +230,18 @@ class DiskCache:
 
     def protect(self, ref: PageRef) -> None:
         """Soft-pin ``ref``'s frame while its instruction is active."""
-        frame = self._frames.get(ref.key)
-        if frame is not None:
-            frame.protected = True
+        self._set_protected(ref.key, True)
 
     def unprotect(self, ref: PageRef) -> None:
         """Release the soft pin on ``ref``."""
-        frame = self._frames.get(ref.key)
-        if frame is not None:
-            frame.protected = False
+        self._set_protected(ref.key, False)
+
+    def _set_protected(self, key: str, protected: bool) -> None:
+        frame = self._frames.get(key)
+        if frame is not None and frame.protected != protected:
+            frame.protected = protected
+            if frame.pins <= 0:
+                self._offer_victim(key, frame)
 
     def discard(self, ref: PageRef) -> None:
         """Drop ``ref`` from the hierarchy (its consumers are all done).
@@ -297,6 +310,7 @@ class DiskCache:
             else:
                 # The frame just became evictable; a queued allocation may
                 # now be able to claim it.
+                self._offer_victim(key, frame)
                 self._retry_alloc_waiters()
 
     def _release(self, key: str) -> None:
@@ -362,16 +376,40 @@ class DiskCache:
             waiter = self._alloc_waiters.popleft()
             self._evict_then(victim, waiter)
 
+    def _offer_victim(self, key: str, frame: _Frame) -> None:
+        """Enter unpinned ``frame``'s current rank into the victim heap.
+
+        At twice the frame capacity, at least half the entries are stale,
+        so the heap is rebuilt from the unpinned frames instead of grown.
+        """
+        victims = self._victims
+        if len(victims) < 2 * self.capacity_frames:
+            heapq.heappush(victims, (frame.protected, frame.last_use, key))
+            return
+        victims[:] = [
+            (f.protected, f.last_use, k) for k, f in self._frames.items() if f.pins <= 0
+        ]
+        heapq.heapify(victims)
+
     def _pick_victim(self) -> Optional[str]:
-        best: Optional[str] = None
-        best_rank: Optional[tuple] = None
-        for key, frame in self._frames.items():
-            if frame.pins > 0:
-                continue
-            rank = (frame.protected, frame.last_use)  # unprotected LRU first
-            if best_rank is None or rank < best_rank:
-                best, best_rank = key, rank
-        return best
+        """The unpinned frame with the least ``(protected, last_use)``.
+
+        Unprotected LRU first.  ``last_use`` values are unique, so the
+        minimum is a single frame.  Its entry leaves the heap: the caller
+        evicts it, or pins it for a write-back and re-enters it at unpin.
+        """
+        victims = self._victims
+        while victims:
+            protected, last_use, key = heapq.heappop(victims)
+            frame = self._frames.get(key)
+            if (
+                frame is not None
+                and frame.pins <= 0
+                and frame.last_use == last_use
+                and frame.protected == protected
+            ):
+                return key
+        return None
 
     def _sequential_read(self, disk_index: int, key: str) -> bool:
         """True when ``key`` continues the drive's previous read.

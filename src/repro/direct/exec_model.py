@@ -6,7 +6,10 @@ The simulated processors do two separable things:
    a real processor would (so simulator output is checked against the
    reference interpreter).  For equijoins the kernel uses a hash probe —
    the *result* is identical to nested loops; only Python wall time
-   differs.
+   differs.  The probe of an inner page is built once per join attribute
+   and memoized on the page (:attr:`Page.probes`); every page mutator
+   (``append``, ``mutate_row``, ``extend_unchecked``, ``clear``) drops
+   the memo, and :meth:`Page.copy` starts without one.
 2. **Charge simulated time.**  Service times follow the nested-loops cost
    the paper assumes (o_rows * i_rows pair comparisons for a join page
    pair), with constants from :mod:`repro.hw`.
@@ -15,7 +18,7 @@ The simulated processors do two separable things:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, Dict, List
 
 from repro import hw
 from repro.relational.page import Page
@@ -33,6 +36,14 @@ def restrict_page(page: Page, test: Callable[[Row], bool]) -> List[Row]:
     return [row for row in page.rows() if test(row)]
 
 
+def equijoin_probe(page: Page, index: int) -> Dict[object, List[Row]]:
+    """``page``'s rows grouped by attribute ``index``, each group in row order."""
+    probe: Dict[object, List[Row]] = {}
+    for row in page.rows():
+        probe.setdefault(row[index], []).append(row)
+    return probe
+
+
 def join_pages(
     outer_page: Page,
     inner_page: Page,
@@ -44,12 +55,18 @@ def join_pages(
 
     ``outer_index``/``inner_index`` are the join attributes' positions in
     the page schemas (precomputed once per instruction).  Equijoins take a
-    hash shortcut with an identical result.
+    hash shortcut with an identical result: the inner page's probe is
+    taken from its memo (:attr:`Page.probes`, keyed by ``inner_index``),
+    built by :func:`equijoin_probe` on first use and kept until the page
+    next changes, so a page met by many outer pages is hashed once.
     """
     if condition.is_equijoin:
-        probe: dict = {}
-        for irow in inner_page.rows():
-            probe.setdefault(irow[inner_index], []).append(irow)
+        probes = inner_page.probes
+        if probes is None:
+            probes = inner_page.probes = {}
+        probe = probes.get(inner_index)
+        if probe is None:
+            probe = probes[inner_index] = equijoin_probe(inner_page, inner_index)
         out: List[Row] = []
         for orow in outer_page.rows():
             for irow in probe.get(orow[outer_index], ()):

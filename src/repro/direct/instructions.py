@@ -44,19 +44,36 @@ from repro.query.tree import (
 class Task:
     """One unit of processor work.
 
-    ``page`` is the input page (unary) or the outer page (join).  Join
-    tasks carry the set of inner page keys already joined, so a parked
-    task resumes where it left off.
+    ``page`` is the input page (unary) or the outer page (join).  A join
+    task keeps its IRC set as an unseen map: the inner pages it has not
+    joined yet, key -> position in the inner operand's page list, in page
+    order.  :meth:`unseen_inner` pulls in the pages delivered since the
+    task last looked, and :meth:`mark_inner_joined` removes one, so a
+    parked task resumes where it left off.
     """
 
     instruction: "Instruction"
     page: PageRef
-    seen_inner: Set[str] = field(default_factory=set)
+    _unseen: Dict[str, int] = field(default_factory=dict, init=False, repr=False)
+    _pulled: int = field(default=0, init=False, repr=False)
 
     @property
     def is_join(self) -> bool:
         """True for join (outer-page) tasks."""
         return isinstance(self.instruction, JoinInstruction)
+
+    def unseen_inner(self) -> Dict[str, int]:
+        """Inner pages not joined yet, key -> page position, in page order."""
+        pages = self.instruction.operands[1].pages
+        unseen = self._unseen
+        for pos in range(self._pulled, len(pages)):
+            unseen[pages[pos].key] = pos
+        self._pulled = len(pages)
+        return unseen
+
+    def mark_inner_joined(self, key: str) -> None:
+        """Record that the task has joined the inner page ``key``."""
+        del self.unseen_inner()[key]
 
 
 class OperandTable:
@@ -373,7 +390,8 @@ class JoinInstruction(Instruction):
 
     Operand 0 is the outer relation (tasks), operand 1 the inner
     (streamed).  Each outer page must meet every inner page; the per-task
-    ``seen_inner`` set plays the role of the paper's IRC vector.
+    unseen map (:meth:`Task.unseen_inner`) plays the role of the paper's
+    IRC vector.
     """
 
     def __init__(
@@ -425,26 +443,31 @@ class JoinInstruction(Instruction):
         When a cache is provided, pages whose delivery is already on the
         interconnect are preferred (join the broadcast for free), then
         cache-resident pages, then anything else — the opportunistic
-        out-of-order consumption the paper's IRC vectors enable.
+        out-of-order consumption the paper's IRC vectors enable.  Within
+        each class the first page in page order wins.  The in-flight class
+        is found from the cache's few in-flight reads, not by testing
+        every unseen page.
         """
-        fallback: Optional[PageRef] = None
-        resident: Optional[PageRef] = None
-        for ref in self.operands[1].pages:
-            if ref.key in task.seen_inner:
-                continue
-            if cache is None:
-                return ref
-            if cache.has_inflight(ref):
-                return ref
-            if resident is None and cache.is_resident(ref):
-                resident = ref
-            if fallback is None:
-                fallback = ref
-        return resident if resident is not None else fallback
+        unseen = task.unseen_inner()
+        if not unseen:
+            return None
+        pages = self.operands[1].pages
+        if cache is not None:
+            first_inflight: Optional[int] = None
+            for key in cache.inflight_keys():
+                pos = unseen.get(key)
+                if pos is not None and (first_inflight is None or pos < first_inflight):
+                    first_inflight = pos
+            if first_inflight is not None:
+                return pages[first_inflight]
+            for pos in unseen.values():
+                if cache.is_resident(pages[pos]):
+                    return pages[pos]
+        return pages[next(iter(unseen.values()))]
 
     def inner_exhausted(self, task: Task) -> bool:
         """True when the task has met every inner page and none can follow."""
-        return self.operands[1].complete and self.next_unseen_inner(task) is None
+        return self.operands[1].complete and not task.unseen_inner()
 
     def compute_pair(self, task: Task, inner_ref: PageRef) -> List[Row]:
         """Join the task's outer page with one inner page (row-exact)."""

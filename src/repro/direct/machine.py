@@ -81,14 +81,6 @@ class _Processor:
         self.staged_ready = False
         self.busy_ms = 0.0
 
-    @property
-    def can_stage(self) -> bool:
-        return self.staged is None
-
-    @property
-    def fully_idle(self) -> bool:
-        return self.executing is None and self.staged is None
-
 
 @dataclass
 class QueryRun:
@@ -542,14 +534,15 @@ class DirectMachine:
             self._assign(proc, task)
 
     def _stageable_processor(self) -> Optional[_Processor]:
-        # Prefer fully idle processors so work spreads out before
-        # double-buffering kicks in.
+        # Prefer fully idle processors (both cells free) so work spreads
+        # out before double-buffering kicks in; then one whose staging
+        # cell is free behind a running task.
         for proc in self.processors:
-            if proc.fully_idle:
+            if proc.executing is None and proc.staged is None:
                 return proc
         if self.memory_cells >= 2:
             for proc in self.processors:
-                if proc.can_stage and proc.executing is not None:
+                if proc.staged is None and proc.executing is not None:
                     return proc
         return None
 
@@ -766,7 +759,7 @@ class DirectMachine:
     ) -> None:
         """One outer-page x inner-page step has finished its service time."""
         rows = instr.compute_pair(task, inner_ref)
-        task.seen_inner.add(inner_ref.key)
+        task.mark_inner_joined(inner_ref.key)
         if instr.inner_page_consumed(inner_ref):
             if _is_base(inner_ref):
                 self.cache.unprotect(inner_ref)

@@ -19,7 +19,7 @@ partial pages are *compressed* into full pages by the receiving IC.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.errors import PageError
 from repro.relational.schema import Row, Schema
@@ -39,7 +39,7 @@ class Page:
     megabyte database" of the benchmark is literally 5.5 MB of page bytes.
     """
 
-    __slots__ = ("schema", "page_bytes", "_rows", "_capacity", "dirty")
+    __slots__ = ("schema", "page_bytes", "_rows", "_capacity", "dirty", "probes")
 
     def __init__(self, schema: Schema, page_bytes: int = DEFAULT_PAGE_BYTES):
         if page_bytes < _HEADER.size + schema.record_width:
@@ -56,6 +56,10 @@ class Page:
         #: True when the in-memory image has diverged from the last
         #: serialized/durable copy; cleared by :meth:`mark_clean`.
         self.dirty = False
+        #: Memo of equijoin probes over the current rows, join-attribute
+        #: index -> probe, filled by :func:`repro.direct.exec_model.join_pages`.
+        #: Every mutator drops it, and :meth:`copy` does not share it.
+        self.probes: Optional[Dict[int, Dict[object, List[Row]]]] = None
 
     # -- capacity -----------------------------------------------------------
 
@@ -98,6 +102,7 @@ class Page:
         self.schema.validate_row(row)
         self._rows.append(tuple(row))
         self.dirty = True
+        self.probes = None
 
     def mutate_row(self, slot: int, row: Row) -> Row:
         """Overwrite the record in ``slot`` in place; returns the old row.
@@ -115,6 +120,7 @@ class Page:
         old = self._rows[slot]
         self._rows[slot] = tuple(row)
         self.dirty = True
+        self.probes = None
         return old
 
     def mark_clean(self) -> None:
@@ -153,11 +159,13 @@ class Page:
             )
         self._rows.extend(rows)
         self.dirty = True
+        self.probes = None
 
     def clear(self) -> None:
         """Drop every record from the page."""
         self._rows.clear()
         self.dirty = True
+        self.probes = None
 
     # -- access -------------------------------------------------------------
 
@@ -213,7 +221,7 @@ class Page:
         return page
 
     def copy(self) -> "Page":
-        """An independent copy of this page (dirty state included)."""
+        """An independent copy of this page (dirty state included, no probes)."""
         dup = Page(self.schema, self.page_bytes)
         dup._rows = list(self._rows)
         dup.dirty = self.dirty

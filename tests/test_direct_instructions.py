@@ -141,10 +141,10 @@ class TestJoinInstruction:
         instr.operand_page_arrived(1, i1)
         task = instr.pop_task()
         first = instr.next_unseen_inner(task)
-        task.seen_inner.add(first.key)
+        task.mark_inner_joined(first.key)
         second = instr.next_unseen_inner(task)
         assert {first.key, second.key} == {"i0", "i1"}
-        task.seen_inner.add(second.key)
+        task.mark_inner_joined(second.key)
         assert instr.next_unseen_inner(task) is None
 
     def test_inner_exhausted(self):
@@ -154,7 +154,7 @@ class TestJoinInstruction:
         instr.operand_page_arrived(1, i0)
         task = instr.pop_task()
         assert not instr.inner_exhausted(task)
-        task.seen_inner.add("i0")
+        task.mark_inner_joined("i0")
         instr.operand_completed(1)
         assert instr.inner_exhausted(task)
 

@@ -87,6 +87,73 @@ class TestKernels:
         assert project_rows([(1, 2), (3, 4)], [1]) == [(2,), (4,)]
 
 
+def nested_loops(outer, inner):
+    """The equijoin on ``g`` as the paper's nested loops compute it."""
+    return [x + y for x in outer.rows() for y in inner.rows() if x[1] == y[1]]
+
+
+EQ_G = attr("g").equals_attr("g")
+
+
+def check_probe_follows_every_mutation():
+    """Build the inner page's memoized probe, then mutate the page each way.
+
+    After every mutator the join must equal nested loops, row for row.
+    """
+    outer = make_page([(i, i % 3) for i in range(9)])
+    inner = make_page([(i, i % 3) for i in range(6)])
+    assert join_pages(outer, inner, EQ_G, 1, 1) == nested_loops(outer, inner)
+    assert inner.probes is not None
+    for mutate in (
+        lambda: inner.append((10, 1)),
+        lambda: inner.mutate_row(0, (11, 2)),
+        lambda: inner.extend_unchecked([(12, 0), (13, 2)]),
+        inner.clear,
+    ):
+        mutate()
+        assert join_pages(outer, inner, EQ_G, 1, 1) == nested_loops(outer, inner)
+
+
+class TestProbeMemo:
+    def test_probe_follows_every_mutation(self):
+        check_probe_follows_every_mutation()
+
+    def test_stale_probe_mutant_is_caught(self, monkeypatch):
+        # Seeded mutant: mutate_row rewrites the slot but keeps the memo.
+        def mutate_row_keeping_probe(page, slot, row):
+            old = page._rows[slot]
+            page._rows[slot] = tuple(row)
+            page.dirty = True
+            return old
+
+        monkeypatch.setattr(Page, "mutate_row", mutate_row_keeping_probe)
+        with pytest.raises(AssertionError):
+            check_probe_follows_every_mutation()
+
+    def test_copy_does_not_share_probes(self):
+        outer = make_page([(i, i % 3) for i in range(9)])
+        inner = make_page([(i, i % 3) for i in range(6)])
+        join_pages(outer, inner, EQ_G, 1, 1)
+        dup = inner.copy()
+        assert dup.probes is None
+        dup.mutate_row(0, (11, 2))
+        assert join_pages(outer, dup, EQ_G, 1, 1) == nested_loops(outer, dup)
+        assert join_pages(outer, inner, EQ_G, 1, 1) == nested_loops(outer, inner)
+
+    def test_probe_built_once_per_join_index(self):
+        outer = make_page([(i, i % 3) for i in range(9)])
+        inner = make_page([(i, i % 3) for i in range(6)])
+        join_pages(outer, inner, EQ_G, 1, 1)
+        probe = inner.probes[1]
+        join_pages(outer, inner, EQ_G, 1, 1)
+        assert inner.probes[1] is probe
+        on_k = attr("k").equals_attr("k")
+        assert join_pages(outer, inner, on_k, 0, 0) == [
+            x + y for x in outer.rows() for y in inner.rows() if x[0] == y[0]
+        ]
+        assert sorted(inner.probes) == [0, 1]
+
+
 class TestTrafficMeter:
     def test_add_and_read(self):
         meter = TrafficMeter()

@@ -15,6 +15,8 @@ import pytest
 from repro.dataflow.machine import DataflowMachine
 from repro.direct import machine as direct_machine
 from repro.direct import scheduler
+from repro.direct.cache import DiskCache
+from repro.direct.instructions import JoinInstruction, Task
 from repro.direct.machine import DirectMachine
 from repro.relational.catalog import Catalog
 from repro.relational.predicate import attr
@@ -308,3 +310,151 @@ def test_live_instruction_picks_match_full_list_random_tree(seed, checked_picks)
     machine.submit(tree)
     machine.run()
     assert any(p is not None for p in checked_picks), seed
+
+
+# ---------------------------------------------------------------------------
+# DIRECT kernels: each join task's unseen-inner map chooses exactly the
+# inner page the old walk of the whole inner page list chose, and the
+# cache's victim heap evicts exactly the frame the old scan of every frame
+# evicted.
+
+
+def old_next_unseen_inner(instr, joined, cache):
+    """The inner choice as the walk over every inner page made it."""
+    fallback = None
+    resident = None
+    for ref in instr.operands[1].pages:
+        if ref.key in joined:
+            continue
+        if cache is None:
+            return ref
+        if cache.has_inflight(ref):
+            return ref
+        if resident is None and cache.is_resident(ref):
+            resident = ref
+        if fallback is None:
+            fallback = ref
+    return resident if resident is not None else fallback
+
+
+def old_pick_victim(cache):
+    """The eviction victim as the scan over every frame found it."""
+    best = None
+    best_rank = None
+    for key, frame in cache._frames.items():
+        if frame.pins > 0:
+            continue
+        rank = (frame.protected, frame.last_use)
+        if best_rank is None or rank < best_rank:
+            best, best_rank = key, rank
+    return best
+
+
+@pytest.fixture
+def checked_inner_choices(monkeypatch):
+    """Check every inner choice against the old walk; log in-flight picks.
+
+    Joined pages are tracked here, from ``mark_inner_joined`` calls, not
+    read back from the task's own map.
+    """
+    joined = {}  # id(task) -> (task, keys): the task is held, so ids stay unique
+    mark = Task.mark_inner_joined
+    choose = JoinInstruction.next_unseen_inner
+    choices = []
+
+    def marking(task, key):
+        joined.setdefault(id(task), (task, set()))[1].add(key)
+        mark(task, key)
+
+    def checking(self, task, cache=None):
+        keys = joined.get(id(task), (task, set()))[1]
+        expected = old_next_unseen_inner(self, keys, cache)
+        inflight = expected is not None and cache is not None and cache.has_inflight(expected)
+        got = choose(self, task, cache)
+        assert got is expected
+        choices.append((got, inflight))
+        return got
+
+    monkeypatch.setattr(Task, "mark_inner_joined", marking)
+    monkeypatch.setattr(JoinInstruction, "next_unseen_inner", checking)
+    return choices
+
+
+@pytest.fixture
+def checked_victims(monkeypatch):
+    """Check every eviction victim against the old scan over every frame."""
+    pick = DiskCache._pick_victim
+    victims = []
+
+    def checking(self):
+        expected = old_pick_victim(self)
+        got = pick(self)
+        assert got == expected
+        victims.append(got)
+        return got
+
+    monkeypatch.setattr(DiskCache, "_pick_victim", checking)
+    return victims
+
+
+def assert_choices_exercised(case, choices, victims):
+    assert any(inflight for _, inflight in choices), case
+    assert any(victim is not None for victim in victims), case
+
+
+def join_batch(seed):
+    """A catalog larger than DIRECT's smallest cache, and joins over it."""
+    rng = random.Random(4000 + seed)
+    catalog = Catalog()
+    for name in ("t1", "t2", "t3"):
+        groups = rng.randint(10, 40)
+        catalog.register(
+            Relation.from_rows(
+                name,
+                SCHEMA,
+                [(i, rng.randrange(groups)) for i in range(rng.randint(150, 300))],
+                page_bytes=PAGE_BYTES,
+            )
+        )
+    outer, inner = rng.sample(catalog.names, 2)
+    trees = [
+        scan(outer).equijoin(scan(inner), "g", "g").tree("join"),
+        random_operand(rng, catalog)
+        .equijoin(random_operand(rng, catalog), "g", "g")
+        .tree("rand_join"),
+        random_tree(rng, catalog, "rand"),
+    ]
+    return catalog, trees, rng.randint(2, 4)
+
+
+@pytest.mark.parametrize("granularity", ["page", "tuple", "relation"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_inner_choices_and_victims_match_full_scans(
+    seed, granularity, checked_inner_choices, checked_victims
+):
+    catalog, trees, processors = join_batch(seed)
+    machine = DirectMachine(
+        catalog,
+        processors=processors,
+        granularity=scheduler.granularity(granularity),
+        page_bytes=PAGE_BYTES,
+        cache_bytes=0,  # the floor: 3 frames per processor plus 8
+    )
+    for tree in trees:
+        machine.submit(tree)
+    machine.run()
+    assert_choices_exercised((seed, granularity), checked_inner_choices, checked_victims)
+
+
+def test_inner_choices_and_victims_match_full_scans_when_serving(
+    checked_inner_choices, checked_victims, monkeypatch
+):
+    init = DirectMachine.__init__
+
+    def smallest_cache(self, *args, **kwargs):
+        init(self, *args, **dict(kwargs, cache_bytes=0))
+
+    monkeypatch.setattr(DirectMachine, "__init__", smallest_cache)
+    _module, kwargs = QUICK_CONFIGS["serving"]
+    serving.run(**dict(kwargs, machines=("direct",)))
+    assert_choices_exercised("serving", checked_inner_choices, checked_victims)

@@ -382,15 +382,28 @@ class TestCrashTrials:
         assert trial.acknowledged_durable
         assert trial.ok
 
-    @pytest.mark.parametrize("machine", ["direct", "dataflow"])
+    def test_ring_crash_after_commits_recovers_byte_identical(self):
+        # The ring's 250 ms cell above acknowledges no commit before the
+        # crash; this one acknowledges three, so a lost commit shows.
+        trial = run_crash_trial(
+            machine="ring", seed=3, crash_rate=1.0, crash_at_ms=600.0, queries=10
+        )
+        assert trial.crashed
+        assert trial.acknowledged == ["mix-004", "mix-003", "mix-006"]
+        assert trial.byte_identical
+        assert trial.acknowledged_durable
+        assert trial.ok
+
+    @pytest.mark.parametrize("machine", ["ring", "direct", "dataflow"])
     def test_dropped_wal_force_turns_the_oracle_red(self, machine, monkeypatch):
         # Seeded mutant: force() never reaches the durable log, so commits
-        # are acknowledged that the crash then loses.  (The ring cell at
-        # this seed acknowledges no commit before the crash, so it cannot
-        # see this mutant.)
+        # are acknowledged that the crash then loses.  Each cell
+        # acknowledges commits before its crash; the ring acknowledges none
+        # by 250 ms at this seed, so its cell crashes at 600 ms.
         monkeypatch.setattr(TransactionManager, "force", lambda self: None)
+        crash_at_ms = 600.0 if machine == "ring" else 250.0
         trial = run_crash_trial(
-            machine=machine, seed=3, crash_rate=1.0, crash_at_ms=250.0, queries=10
+            machine=machine, seed=3, crash_rate=1.0, crash_at_ms=crash_at_ms, queries=10
         )
         assert trial.crashed
         assert not trial.acknowledged_durable
